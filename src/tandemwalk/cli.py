@@ -56,6 +56,15 @@ _ANGLE_ALIASES = {
 
 _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
+#: grid step of the preset scans
+_FINE = 0.005
+
+#: fixed shift parameters at the exact balanced point
+_BALANCED = {"alpha": BALANCED_ALPHA, "beta_mod": BALANCED_ALPHA}
+
+#: fig2's alpha just off the balanced point, as a user would type it
+_NEAR_BALANCED_ALPHA = 0.7071067812
+
 
 def _parse_alpha(text: str) -> float:
     if text in _ALPHA_ALIASES:
@@ -75,12 +84,25 @@ def _parse_outcomes(text: str) -> tuple[Spin, ...]:
     return (Spin(text),)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _resolve_workers(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("QRW_WORKERS")
     if env:
-        return int(env)
+        try:
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"QRW_WORKERS {exc}") from None
     return os.cpu_count() or 1
 
 
@@ -98,6 +120,16 @@ def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
     return open(path, "w"), True
+
+
+def _write_csv(path, meta: dict, header: list[str], rows) -> int:
+    """Write metadata, header and rows to path (or standard output)."""
+    stream, close = _open_out(path)
+    try:
+        return _emit(stream, meta, header, rows)
+    finally:
+        if close:
+            stream.close()
 
 
 def _emit(stream, meta: dict, header: list[str], rows) -> int:
@@ -167,8 +199,6 @@ def _add_operator_args(parser: argparse.ArgumentParser):
         default=0.0,
         help="phase of beta in [0,2pi); aliases pi/2, pi, 3pi/2 stay exact",
     )
-    parser.add_argument("--p", type=int, default=1, help="up displacement")
-    parser.add_argument("--q", type=int, default=-1, help="down displacement")
 
 
 def _build_operators(args) -> tuple[CoinOperator, ShiftOperator]:
@@ -178,8 +208,6 @@ def _build_operators(args) -> tuple[CoinOperator, ShiftOperator]:
     shift = ShiftOperator(
         alpha=args.alpha,
         beta_arg=args.beta_arg,
-        p=args.p,
-        q=args.q,
         beta_mod=BALANCED_ALPHA if balanced else None,
     )
     return coin, shift
@@ -189,7 +217,7 @@ def _operator_meta(args) -> dict:
     meta = {"coin": args.coin}
     if args.coin == "general":
         meta.update(rho=args.rho, theta=args.theta, eta=args.eta)
-    meta.update(alpha=args.alpha, beta_arg=args.beta_arg, p=args.p, q=args.q)
+    meta.update(alpha=args.alpha, beta_arg=args.beta_arg)
     return meta
 
 
@@ -210,12 +238,7 @@ def cmd_evolve(args) -> int:
     rows.sort(key=lambda row: (row[0], row[1].value))
     meta = {"command": "evolve", **_operator_meta(args)}
     meta.update(steps=args.steps, outcome=args.outcome, term_threshold=args.term_threshold)
-    stream, close = _open_out(args.out)
-    try:
-        _emit(stream, meta, ["step", "outcome", "P", "N", "E_bits", "normalized_E"], rows)
-    finally:
-        if close:
-            stream.close()
+    _write_csv(args.out, meta, ["step", "outcome", "P", "N", "E_bits", "normalized_E"], rows)
     return 0
 
 
@@ -224,103 +247,56 @@ def cmd_evolve(args) -> int:
 
 
 def _figure_rows(tag: str, n_steps_override: int | None):
-    """Header, metadata and rows for one named preset scan."""
-    fine = 0.005
-    if tag == "fig1":
-        n = n_steps_override or 200
-        spec = SweepSpec(
-            CoinFamily.HADAMARD,
-            "alpha",
-            0.0,
-            1.0,
-            fine,
-            n,
-            fixed={"beta_arg": 0.0},
-            include_balanced=True,
-        )
-        header, rows = sweep_1d(spec)
-        desc = f"averaged entanglement over {n} steps vs alpha, hadamard coin, real beta"
-        return desc, header, rows
-    if tag == "fig2":
-        n = n_steps_override or 800
-        rows = []
-        header = None
-        for alpha in (0.7071067812, 0.71, 0.37):
-            spec = SweepSpec(
-                CoinFamily.HADAMARD,
-                "alpha",
-                alpha,
-                alpha,
-                1.0,
-                n,
-                fixed={"beta_arg": 0.0},
-                outcomes=(Spin.DOWN,),
-                mode=SweepMode.PER_STEP,
-            )
-            header, part = sweep_1d(spec)
-            rows.extend(part)
-        desc = f"per-step entanglement for {n} steps, hadamard coin, three alpha values"
-        return desc, header, rows
-    if tag == "fig3":
-        n = n_steps_override or 200
-        spec = SweepSpec(
-            CoinFamily.HADAMARD,
-            "beta_arg",
-            0.0,
-            2 * float(np.pi),
-            fine,
-            n,
-            fixed={"alpha": 0.37},
-        )
-        header, rows = sweep_1d(spec)
-        desc = f"averaged entanglement over {n} steps vs beta phase, hadamard coin, alpha=0.37"
-        return desc, header, rows
-    if tag == "fig4":
-        n = n_steps_override or 200
-        spec = SweepSpec(
-            CoinFamily.HADAMARD,
-            "beta_arg",
-            0.0,
-            2 * float(np.pi),
-            fine,
-            n,
-            fixed={"alpha": BALANCED_ALPHA, "beta_mod": BALANCED_ALPHA},
-        )
-        header, rows = sweep_1d(spec)
-        desc = f"averaged entanglement over {n} steps vs beta phase, hadamard coin, balanced alpha"
-        return desc, header, rows
-    if tag == "fig5":
-        n = n_steps_override or 200
-        header = None
-        rows = []
-        for alpha, beta_mod in ((BALANCED_ALPHA, BALANCED_ALPHA), (0.37, None)):
-            fixed = {"alpha": alpha}
-            if beta_mod is not None:
-                fixed["beta_mod"] = beta_mod
-            spec = SweepSpec(
-                CoinFamily.KEMPE, "beta_arg", 0.0, 2 * float(np.pi), fine, n, fixed=fixed
-            )
-            part_header, part = sweep_1d(spec)
-            header = [part_header[0], "alpha", *part_header[1:]]
-            rows.extend((row[0], alpha, *row[1:]) for row in part)
-        desc = f"averaged entanglement over {n} steps vs beta phase, kempe coin, two alpha values"
-        return desc, header, rows
-    if tag == "fig6":
-        n = n_steps_override or 200
-        spec = SweepSpec(
-            CoinFamily.Z,
-            "alpha",
-            0.0,
-            1.0,
-            fine,
-            n,
-            fixed={"beta_arg": 0.0},
-            include_balanced=True,
-        )
-        header, rows = sweep_1d(spec)
-        desc = f"averaged entanglement over {n} steps vs alpha, z coin, real beta"
-        return desc, header, rows
-    raise ValueError(f"unknown figure tag {tag!r}")
+    """Description, header and rows for one named preset scan."""
+    n = n_steps_override or (800 if tag == "fig2" else 200)
+    hadamard, real = CoinFamily.HADAMARD, {"beta_arg": 0.0}
+    alphas = ("alpha", 0.0, 1.0, _FINE)
+    phases = ("beta_arg", 0.0, 2 * float(np.pi), _FINE)
+    figures = {
+        "fig1": (
+            f"averaged entanglement over {n} steps vs alpha, hadamard coin, real beta",
+            lambda: [SweepSpec(hadamard, *alphas, n, fixed=real, include_balanced=True)],
+        ),
+        "fig2": (
+            f"per-step entanglement for {n} steps, hadamard coin, three alpha values",
+            lambda: [
+                SweepSpec(hadamard, "alpha", alpha, alpha, 1.0, n, fixed=real,
+                          outcomes=(Spin.DOWN,), mode=SweepMode.PER_STEP)
+                for alpha in (_NEAR_BALANCED_ALPHA, 0.71, 0.37)
+            ],
+        ),
+        "fig3": (
+            f"averaged entanglement over {n} steps vs beta phase, hadamard coin, alpha=0.37",
+            lambda: [SweepSpec(hadamard, *phases, n, fixed={"alpha": 0.37})],
+        ),
+        "fig4": (
+            f"averaged entanglement over {n} steps vs beta phase, hadamard coin, balanced alpha",
+            lambda: [SweepSpec(hadamard, *phases, n, fixed=_BALANCED)],
+        ),
+        "fig5": (
+            f"averaged entanglement over {n} steps vs beta phase, kempe coin, two alpha values",
+            lambda: [
+                SweepSpec(CoinFamily.KEMPE, *phases, n, fixed=fixed)
+                for fixed in (_BALANCED, {"alpha": 0.37})
+            ],
+        ),
+        "fig6": (
+            f"averaged entanglement over {n} steps vs alpha, z coin, real beta",
+            lambda: [SweepSpec(CoinFamily.Z, *alphas, n, fixed=real, include_balanced=True)],
+        ),
+    }
+    if tag not in figures:
+        raise ValueError(f"unknown figure tag {tag!r}")
+    desc, specs = figures[tag]
+    rows = []
+    for spec in specs():
+        header, part = sweep_1d(spec)
+        if tag == "fig5":  # two alpha lines in one table
+            alpha = spec.fixed["alpha"]
+            header = [header[0], "alpha", *header[1:]]
+            part = [(row[0], alpha, *row[1:]) for row in part]
+        rows.extend(part)
+    return desc, header, rows
 
 
 def cmd_sweep(args) -> int:
@@ -368,12 +344,7 @@ def cmd_sweep(args) -> int:
             mode=args.mode,
             term_threshold=TERM_THRESHOLD,
         )
-    stream, close = _open_out(args.out)
-    try:
-        _emit(stream, meta, header, rows)
-    finally:
-        if close:
-            stream.close()
+    _write_csv(args.out, meta, header, rows)
     return 0
 
 
@@ -384,6 +355,7 @@ def cmd_sweep(args) -> int:
 def cmd_search(args) -> int:
     mode = SearchMode(args.mode)
     family = CoinFamily(args.coin)
+    workers = _resolve_workers(args.workers)
     header = [
         "rho",
         "theta",
@@ -396,16 +368,15 @@ def cmd_search(args) -> int:
         "P",
         "N",
     ]
-    meta = {
-        "command": "search",
-        "mode": args.mode,
-        "coin": args.coin,
-        "grid": args.grid,
+    meta = {"command": "search", "mode": args.mode, "coin": args.coin}
+    if family is CoinFamily.GENERAL:  # the named-coin catalogs use their own grid
+        meta["grid"] = args.grid
+    meta.update({
         "steps": args.steps,
         "p_min": args.p_min,
         "maximal_atol": args.maximal_atol,
         "term_threshold": TERM_THRESHOLD,
-    }
+    })
     if mode is SearchMode.AVERAGED_HIGH:
         meta["avg_min"] = args.avg_min
 
@@ -417,7 +388,7 @@ def cmd_search(args) -> int:
             p_threshold=args.p_min,
             avg_threshold=args.avg_min,
             maximal_atol=args.maximal_atol,
-            workers=_resolve_workers(args.workers),
+            workers=workers,
         )
     else:
         if mode is not SearchMode.ISOLATED_MAX:
@@ -431,27 +402,8 @@ def cmd_search(args) -> int:
             )
         )
 
-    def rows():
-        for h in hits:
-            yield (
-                h.rho,
-                h.theta,
-                h.eta,
-                h.alpha,
-                h.beta_arg,
-                h.step,
-                h.outcome,
-                h.normalized,
-                h.probability,
-                h.term_count,
-            )
-
-    stream, close = _open_out(args.out)
-    try:
-        count = _emit(stream, meta, header, rows())
-    finally:
-        if close:
-            stream.close()
+    rows = (vars(hit).values() for hit in hits)  # fields in header order
+    count = _write_csv(args.out, meta, header, rows)
     print(f"{count} hits", file=sys.stderr)
     return 0
 
@@ -507,9 +459,7 @@ def _suite_oracle(samples: int, rng) -> list[str]:
             worst = max(worst, abs(result.probability - closed.probability))
             if closed.probability > 1e-20:
                 expect = closed.normalized_amps()
-                got = np.array(
-                    [result.amps[s - result.offset] for s in closed.sites]
-                )
+                got = np.array([result.amplitude(s) for s in closed.sites])
                 pivot = int(np.argmax(np.abs(expect)))
                 got = got * (expect[pivot] / got[pivot] / abs(expect[pivot] / got[pivot]))
                 worst = max(worst, float(np.max(np.abs(got - expect))))
@@ -622,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=MAXIMAL_ATOL,
         help="entanglement counts as maximal above 1 - this tolerance",
     )
-    p_search.add_argument("--workers", type=int, help="process count (QRW_WORKERS, then cores)")
+    p_search.add_argument(
+        "--workers", type=_positive_int, help="process count (QRW_WORKERS, then cores)"
+    )
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", help="run the correctness suites")

@@ -3,18 +3,24 @@ of two walkers that move together on the integer line.
 
 The joint state is a superposition of terms |s> (x) |i,i> where s is a
 spin-1/2 component (the coin) and i is a lattice site shared by both
-walkers.  One step applies a 2x2 unitary coin to the spin factor and then
-a spin-conditioned translation: the up-projected part moves by p sites
-with mixing weights (alpha, beta), the down-projected part by q sites
-with weights (-conj(beta), conj(alpha)).  Measuring the coin collapses
-the position factor to a pure state whose amplitudes carry the
-walker-walker entanglement.
+walkers.  One step applies a 2x2 unitary coin U to the spin factor, then
+the shift's 2x2 mix V = [[alpha, beta], [-conj(beta), alpha]], and then
+moves the up output one site right and the down output one site left.
+Measuring the coin collapses the position factor to a pure state whose
+amplitudes carry the walker-walker entanglement.
+
+After n steps the pair can only sit at sites 2k - n, where k counts the
+up moves, so amplitudes are stored by k in n + 1 slots.  One engine,
+`walk_batch`, evolves a batch of walks in that layout; `step`,
+`iter_steps` and `evolve` run it as a batch of one.  One function,
+`collapse_metrics`, turns amplitudes into the outcome probability, the
+term count and the entropies, for one walk or a batch alike.
 """
 
 import numpy as np
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "TERM_THRESHOLD",
@@ -25,15 +31,21 @@ __all__ = [
     "ShiftOperator",
     "WalkState",
     "CollapseResult",
+    "CollapseMetrics",
     "phase_factor",
+    "coin_matrices",
+    "shift_matrices",
     "hadamard_coin",
     "kempe_coin",
     "z_coin",
     "balanced_shift",
     "initial_state",
+    "walk_batch",
     "step",
     "iter_steps",
     "evolve",
+    "collapse_metrics",
+    "normalized_ratio",
     "measure_spin",
     "orthonormality_residual",
     "verify_shift_unitarity",
@@ -51,24 +63,65 @@ BALANCED_ALPHA = float(np.sqrt(0.5))
 _QUARTER_TURN = float(np.pi / 2)
 _TWO_PI = float(2.0 * np.pi)
 
-# exp(i k pi/2) for k = -8..8, keyed by the float value of the angle
-_UNIT_PHASES = {
-    k * _QUARTER_TURN: (1 + 0j, 1j, -1 + 0j, -1j)[k % 4] for k in range(-8, 9)
-}
+# exp(i k pi/2) indexed by k mod 4
+_UNIT_PHASES = np.array([1 + 0j, 1j, -1 + 0j, -1j])
 
 
-def phase_factor(angle: float) -> complex:
+def phase_factor(angle):
     """Return exp(i*angle), exact at multiples of pi/2.
 
-    Exactness at quarter turns keeps walks that degenerate into a single
-    product-state chain exactly degenerate: the dead spin branch receives
-    amplitude 0.0 rather than O(1e-16) rounding leakage, which would
-    otherwise masquerade as a spurious collapsed state.
+    Accepts a float or an array of floats and returns a complex or a
+    complex array of the same shape.  Exactness at quarter turns keeps
+    walks that degenerate into a single product-state chain exactly
+    degenerate: the dead spin branch receives amplitude 0.0 rather than
+    O(1e-16) rounding leakage, which would otherwise masquerade as a
+    spurious collapsed state.
     """
-    unit = _UNIT_PHASES.get(float(angle))
-    if unit is not None:
-        return unit
-    return complex(np.cos(angle), np.sin(angle))
+    angle = np.asarray(angle, dtype=np.float64)
+    turns = np.rint(angle / _QUARTER_TURN)
+    exact = turns * _QUARTER_TURN == angle
+    general = np.empty(angle.shape, dtype=np.complex128)
+    general.real = np.cos(angle)
+    general.imag = np.sin(angle)
+    quarter = np.where(exact, turns, 0.0).astype(np.int64) % 4
+    out = np.where(exact, _UNIT_PHASES[quarter], general)
+    return complex(out) if out.ndim == 0 else out
+
+
+def coin_matrices(rho, theta, eta, phi=0.0) -> np.ndarray:
+    """Coin matrices for scalar or array parameters, shape (..., 2, 2).
+
+    See `CoinOperator` for the parametrisation; the phases go through
+    `phase_factor`, so quarter turns are exact for grids too.
+    """
+    stay = np.sqrt(rho)
+    flip = np.sqrt(1.0 - rho)
+    shape = np.broadcast(rho, theta, eta, phi).shape
+    m = np.empty(shape + (2, 2), dtype=np.complex128)
+    m[..., 0, 0] = stay
+    m[..., 0, 1] = flip * phase_factor(np.subtract(theta, eta))
+    m[..., 1, 0] = -flip * phase_factor(-np.add(theta, eta))
+    m[..., 1, 1] = stay * phase_factor(np.multiply(-2.0, eta))
+    if np.any(phi):
+        m *= np.asarray(phase_factor(phi))[..., None, None]
+    return m
+
+
+def shift_matrices(alpha, beta_arg, beta_mod=None) -> np.ndarray:
+    """Shift mixing matrices [[alpha, beta], [-conj(beta), alpha]], shape (..., 2, 2).
+
+    beta = |beta| e^{i beta_arg} with |beta| = sqrt(1 - alpha^2) unless
+    beta_mod pins it (scalar or array).
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    mod = np.sqrt((1.0 - alpha) * (1.0 + alpha)) if beta_mod is None else beta_mod
+    beta = mod * phase_factor(beta_arg)
+    m = np.empty(np.broadcast(alpha, beta).shape + (2, 2), dtype=np.complex128)
+    m[..., 0, 0] = alpha
+    m[..., 0, 1] = beta
+    m[..., 1, 0] = -np.conj(beta)
+    m[..., 1, 1] = alpha
+    return m
 
 
 class Spin(Enum):
@@ -76,6 +129,11 @@ class Spin(Enum):
 
     UP = "up"
     DOWN = "down"
+
+    @property
+    def row(self) -> int:
+        """Index of this spin in the engine's (2, B, n + 1) amplitude arrays."""
+        return 0 if self is Spin.UP else 1
 
 
 @dataclass(frozen=True)
@@ -108,21 +166,7 @@ class CoinOperator:
 
     def matrix(self) -> np.ndarray:
         """Realize the coin as a 2x2 complex128 array."""
-        stay = np.sqrt(self.rho)
-        flip = np.sqrt(1.0 - self.rho)
-        m = np.array(
-            [
-                [stay, flip * phase_factor(self.theta - self.eta)],
-                [
-                    -flip * phase_factor(-(self.theta + self.eta)),
-                    stay * phase_factor(-2.0 * self.eta),
-                ],
-            ],
-            dtype=np.complex128,
-        )
-        if self.phi != 0.0:
-            m = m * phase_factor(self.phi)
-        return m
+        return coin_matrices(self.rho, self.theta, self.eta, self.phi)
 
     def unitarity_residual(self) -> float:
         """Max entrywise deviation of U U+ from the identity."""
@@ -153,11 +197,13 @@ def z_coin() -> CoinOperator:
 class ShiftOperator:
     """Spin-conditioned translation of the walker pair.
 
-    The up output moves by p sites, the down output by q sites.  alpha is
-    real in [0, 1] by convention (its phase can always be absorbed into a
-    redefinition of the spin eigenstates) and beta is derived as
-    sqrt(1 - alpha^2) e^{i beta_arg}, so (alpha, beta) and
-    (-conj(beta), conj(alpha)) form an orthonormal pair by construction.
+    The mix V = [[alpha, beta], [-conj(beta), alpha]] feeds the up output,
+    which moves one site right, and the down output, which moves one
+    site left.  alpha is real in [0, 1] by convention (its phase can
+    always be absorbed into a redefinition of the spin eigenstates) and
+    beta is derived as sqrt(1 - alpha^2) e^{i beta_arg}, so (alpha, beta)
+    and (-conj(beta), conj(alpha)) form an orthonormal pair by
+    construction.
 
     beta_mod optionally pins |beta| directly.  It exists for the balanced
     point alpha = |beta| = 1/sqrt 2, which is not reachable through the
@@ -167,18 +213,11 @@ class ShiftOperator:
 
     alpha: float
     beta_arg: float = 0.0
-    p: int = 1
-    q: int = -1
     beta_mod: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.p == self.q:
-            raise ValueError(
-                f"p and q must differ, got p = q = {self.p}; equal displacements "
-                "move both walkers identically and the walk generates no entanglement"
-            )
         if not 0.0 <= self.beta_arg < _TWO_PI:
             object.__setattr__(self, "beta_arg", float(np.mod(self.beta_arg, _TWO_PI)))
         if self.beta_mod is not None:
@@ -188,25 +227,23 @@ class ShiftOperator:
                     f"beta_mod breaks alpha^2 + |beta|^2 = 1 by {err:.3e}"
                 )
 
+    def matrix(self) -> np.ndarray:
+        """The mix V as a 2x2 complex128 array."""
+        return shift_matrices(self.alpha, self.beta_arg, self.beta_mod)
+
     @property
     def beta(self) -> complex:
         """Complex beta coefficient."""
-        if self.beta_mod is not None:
-            mod = self.beta_mod
-        else:
-            mod = np.sqrt((1.0 - self.alpha) * (1.0 + self.alpha))
-        return mod * phase_factor(self.beta_arg)
+        return complex(self.matrix()[0, 1])
 
 
-def balanced_shift(beta_arg: float = 0.0, p: int = 1, q: int = -1) -> ShiftOperator:
+def balanced_shift(beta_arg: float = 0.0) -> ShiftOperator:
     """Shift at the balanced point alpha = |beta| = 1/sqrt 2.
 
     Both moduli are the same float, so walks that degenerate into a
     product-state chain at this point stay exactly degenerate.
     """
-    return ShiftOperator(
-        alpha=BALANCED_ALPHA, beta_arg=beta_arg, p=p, q=q, beta_mod=BALANCED_ALPHA
-    )
+    return ShiftOperator(alpha=BALANCED_ALPHA, beta_arg=beta_arg, beta_mod=BALANCED_ALPHA)
 
 
 def orthonormality_residual(alpha: complex, beta: complex) -> float:
@@ -237,18 +274,23 @@ def verify_shift_unitarity(
     return residual < atol, residual
 
 
+def _site_index(n: int, site: int) -> int | None:
+    """Slot k of `site` after n steps (site = 2k - n), None if unreachable."""
+    k, odd = divmod(site + n, 2)
+    return k if not odd and 0 <= k <= n else None
+
+
 @dataclass(frozen=True)
 class WalkState:
     """Joint coin (x) position state after some number of steps.
 
     Entry k of each amplitude array belongs to |s> (x) |i,i> with
-    i = offset + k.  Sites emptied by the parity of the walk are stored
-    as exact zeros.  Instances are immutable; the arrays are marked
-    read-only so states can be shared freely between workers.
+    i = 2k - step, k being the number of up moves; `sites` and
+    `amplitude` translate.  Instances are immutable; the arrays are
+    marked read-only so states can be shared freely between workers.
     """
 
     step: int
-    offset: int
     amps_up: np.ndarray
     amps_down: np.ndarray
 
@@ -257,8 +299,8 @@ class WalkState:
         self.amps_down.flags.writeable = False
 
     def sites(self) -> np.ndarray:
-        """Position indices covered by the amplitude arrays."""
-        return self.offset + np.arange(self.amps_up.size)
+        """Position index of each amplitude slot."""
+        return 2 * np.arange(self.step + 1) - self.step
 
     def norm(self) -> float:
         """Euclidean norm of the joint state (1 for a valid state)."""
@@ -266,9 +308,9 @@ class WalkState:
         return float(np.sqrt(total))
 
     def amplitude(self, spin: Spin, site: int) -> complex:
-        """Amplitude of |spin> (x) |site,site>, 0 outside the stored range."""
-        k = site - self.offset
-        if not 0 <= k < self.amps_up.size:
+        """Amplitude of |spin> (x) |site,site>, 0 at unreachable sites."""
+        k = _site_index(self.step, site)
+        if k is None:
             return 0j
         amps = self.amps_up if spin is Spin.UP else self.amps_down
         return complex(amps[k])
@@ -281,47 +323,68 @@ def initial_state() -> WalkState:
     the spin axes and the origin of the line, so nothing is lost by
     pinning it.
     """
-    one = np.array([1.0 + 0.0j])
-    zero = np.array([0.0 + 0.0j])
-    return WalkState(step=0, offset=0, amps_up=one, amps_down=zero)
+    return WalkState(0, np.ones(1, np.complex128), np.zeros(1, np.complex128))
+
+
+def _entries(m: np.ndarray):
+    """Entries of a (B, 2, 2) stack as a nested pair of (B, 1) columns."""
+    return tuple(tuple(m[:, i, j, None] for j in range(2)) for i in range(2))
+
+
+def _advance(amps: np.ndarray, n: int, u, v):
+    """Advance every walk in `amps` (2, B, >= n + 2) from step n to n + 1 in place.
+
+    Slots k > n must hold zeros.  The coin and the shift mix are applied
+    as two separate 2x2 mixes: multiplying them into one matrix first
+    would leak rounding into the dead branch of the degenerate walks.
+    """
+    up, down = amps[0, :, : n + 1], amps[1, :, : n + 1]
+    bu = u[0][0] * up
+    bu += u[0][1] * down
+    bd = u[1][0] * up
+    bd += u[1][1] * down
+    new_up, new_down = amps[0, :, 1 : n + 2], amps[1, :, : n + 1]
+    np.multiply(v[0][0], bu, out=new_up)
+    new_up += v[0][1] * bd
+    np.multiply(v[1][0], bu, out=new_down)
+    new_down += v[1][1] * bd
+    if n == 0:  # an up output always has made at least one up move
+        amps[0, :, 0] = 0.0
+
+
+def walk_batch(u: np.ndarray, v: np.ndarray, n_steps: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Evolve a batch of walks from |up> (x) |0,0>, the one evolution engine.
+
+    u and v are (B, 2, 2) stacks of coin and shift matrices.  Yields
+    (n, amps) after each of steps 1..n_steps, where amps is a
+    (2, B, n + 1) view: row `Spin.row`, walk, then k = number of up
+    moves.  The view is overwritten by the next step; copy what you keep.
+    """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    amps = np.zeros((2, u.shape[0], n_steps + 1), dtype=np.complex128)
+    amps[0, :, 0] = 1.0
+    cu, cv = _entries(u), _entries(v)
+    for n in range(n_steps):
+        _advance(amps, n, cu, cv)
+        yield n + 1, amps[:, :, : n + 2]
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """Advance the walk by one coin + shift application."""
-    u = coin.matrix()
-    bu = u[0, 0] * state.amps_up + u[0, 1] * state.amps_down
-    bd = u[1, 0] * state.amps_up + u[1, 1] * state.amps_down
-
-    lo = min(shift.p, shift.q)
-    width = state.amps_up.size
-    new_width = width + (max(shift.p, shift.q) - lo)
-    new_up = np.zeros(new_width, dtype=np.complex128)
-    new_down = np.zeros(new_width, dtype=np.complex128)
-
-    beta = shift.beta
-    ku = shift.p - lo
-    kd = shift.q - lo
-    # alpha is real by convention, so conj(alpha) = alpha
-    new_up[ku : ku + width] = shift.alpha * bu + beta * bd
-    new_down[kd : kd + width] = -beta.conjugate() * bu + shift.alpha * bd
-    return WalkState(
-        step=state.step + 1,
-        offset=state.offset + lo,
-        amps_up=new_up,
-        amps_down=new_down,
-    )
+    n = state.step
+    amps = np.zeros((2, 1, n + 2), dtype=np.complex128)
+    amps[:, 0, : n + 1] = state.amps_up, state.amps_down
+    _advance(amps, n, _entries(coin.matrix()[None]), _entries(shift.matrix()[None]))
+    return WalkState(step=n + 1, amps_up=amps[0, 0], amps_down=amps[1, 0])
 
 
 def iter_steps(
     coin: CoinOperator, shift: ShiftOperator, n_steps: int
 ) -> Iterator[WalkState]:
     """Yield the walk state after each of steps 1..n_steps."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    state = initial_state()
-    for _ in range(n_steps):
-        state = step(state, coin, shift)
-        yield state
+    for n, amps in walk_batch(coin.matrix()[None], shift.matrix()[None], n_steps):
+        yield WalkState(step=n, amps_up=amps[0, 0].copy(), amps_down=amps[1, 0].copy())
 
 
 def evolve(coin: CoinOperator, shift: ShiftOperator, n_steps: int) -> WalkState:
@@ -332,28 +395,89 @@ def evolve(coin: CoinOperator, shift: ShiftOperator, n_steps: int) -> WalkState:
     return state
 
 
+class CollapseMetrics(NamedTuple):
+    """Per-outcome results of collapsing amplitudes, one entry per row.
+
+    probability: the outcome probability P; term_count: N, amplitudes
+    whose normalized modulus exceeds the term threshold; entropy: E in
+    bits; normalized: E / log2 N (see `normalized_ratio`).
+    """
+
+    probability: np.ndarray
+    term_count: np.ndarray
+    entropy: np.ndarray
+    normalized: np.ndarray
+
+
+def _collapse(amps: np.ndarray, threshold: float):
+    """(P, normalized amplitudes, their moduli, N) over the last axis.
+
+    Rows of probability zero normalize to zeros and count no terms.
+    """
+    weights = amps.real * amps.real + amps.imag * amps.imag
+    probability = weights.sum(axis=-1)
+    collapsed = amps / np.sqrt(np.where(probability > 0.0, probability, 1.0))[..., None]
+    moduli = np.abs(collapsed)
+    return probability, collapsed, moduli, np.count_nonzero(moduli > threshold, axis=-1)
+
+
+def normalized_ratio(e_bits, n_terms):
+    """E / log2 N, or 0 when fewer than two terms survive the threshold.
+
+    A single position term carries no walker-walker entanglement by
+    definition.  Rounding can overshoot the exact maximum by a few ulp,
+    so the ratio is capped at its mathematical bound 1.
+    """
+    n_terms = np.asarray(n_terms)
+    ratio = np.minimum(e_bits / np.log2(np.maximum(n_terms, 2)), 1.0)
+    return np.where(n_terms >= 2, ratio, 0.0)
+
+
+def collapse_metrics(amps: np.ndarray, threshold: float = TERM_THRESHOLD) -> CollapseMetrics:
+    """P, N, E and normalized E of collapsing onto each row of `amps`.
+
+    The last axis holds position amplitudes, unnormalized: the squared
+    norm of a row is the outcome probability.  Each row is normalized,
+    then E = -sum |c|^2 log2 |c|^2 in bits (0 log 0 = 0).  A row of
+    probability zero gives P = N = E = 0.
+    """
+    probability, _, moduli, n_terms = _collapse(amps, threshold)
+    weights = moduli * moduli
+    logs = np.log2(np.where(weights > 0.0, weights, 1.0))
+    e_bits = -(weights * logs).sum(axis=-1) + 0.0
+    return CollapseMetrics(probability, n_terms, e_bits, normalized_ratio(e_bits, n_terms))
+
+
 @dataclass(frozen=True)
 class CollapseResult:
     """Outcome of measuring the coin after some number of steps.
 
     amps holds the normalized position amplitudes of the post-measurement
-    state (empty when the outcome has zero probability, which is a valid
-    degenerate result rather than an error: downstream averages assign it
-    zero entanglement).  term_count counts amplitudes with modulus above
-    TERM_THRESHOLD.
+    state by k, as in `WalkState` (empty when the outcome has zero
+    probability, which is a valid degenerate result rather than an error:
+    downstream averages assign it zero entanglement).  term_count counts
+    amplitudes with modulus above the threshold.
     """
 
     outcome: Spin
     probability: float
     amps: np.ndarray
-    offset: int
+    step: int
     term_count: int
 
     def __post_init__(self):
         self.amps.flags.writeable = False
 
     def sites(self) -> np.ndarray:
-        return self.offset + np.arange(self.amps.size)
+        """Position index of each entry of amps."""
+        return 2 * np.arange(self.amps.size) - self.step
+
+    def amplitude(self, site: int) -> complex:
+        """Normalized amplitude of |site,site>, 0 at sites without one."""
+        k = _site_index(self.step, site)
+        if k is None or k >= self.amps.size:
+            return 0j
+        return complex(self.amps[k])
 
 
 def measure_spin(
@@ -366,22 +490,13 @@ def measure_spin(
     the modulus cutoff for counting terms.
     """
     amps = state.amps_up if outcome is Spin.UP else state.amps_down
-    weights = amps.real * amps.real + amps.imag * amps.imag
-    probability = float(weights.sum())
+    probability, collapsed, _, n_terms = _collapse(amps, threshold)
     if probability == 0.0:
-        return CollapseResult(
-            outcome=outcome,
-            probability=0.0,
-            amps=np.zeros(0, dtype=np.complex128),
-            offset=state.offset,
-            term_count=0,
-        )
-    collapsed = amps / np.sqrt(probability)
-    n_terms = int(np.count_nonzero(np.abs(collapsed) > threshold))
+        collapsed = np.zeros(0, dtype=np.complex128)
     return CollapseResult(
         outcome=outcome,
-        probability=probability,
+        probability=float(probability),
         amps=collapsed,
-        offset=state.offset,
-        term_count=n_terms,
+        step=state.step,
+        term_count=int(n_terms),
     )

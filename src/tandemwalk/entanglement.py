@@ -6,7 +6,8 @@ normalized measure divides by log2 N, where N counts amplitudes above
 the term threshold, so a value of 1 always means "maximal for the number
 of terms present".  The averaged measure is the mean of the normalized
 values over steps 2..n of a walk, evaluated as if an independent copy of
-the walk were measured at each step.
+the walk were measured at each step.  Every measure here is computed by
+`core.collapse_metrics`, the same function the batch searches use.
 """
 
 import numpy as np
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 from .core import (
     TERM_THRESHOLD,
     CoinOperator,
-    CollapseResult,
     ShiftOperator,
     Spin,
-    iter_steps,
-    measure_spin,
+    collapse_metrics,
+    normalized_ratio,
+    walk_batch,
 )
 
 __all__ = [
@@ -28,10 +29,20 @@ __all__ = [
     "normalized_entanglement",
     "EntanglementRecord",
     "AveragedEntanglement",
-    "record_from_collapse",
     "walk_entanglement_series",
     "averaged_entanglement",
 ]
+
+
+def _normalized_metrics(amps: np.ndarray, norm_atol: float = 1e-10):
+    """Collapse metrics of amplitudes that must already be normalized."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    total = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
+    if abs(total - 1.0) > norm_atol:
+        raise ValueError(
+            f"position amplitudes must be normalized: sum |c|^2 = {total!r}"
+        )
+    return collapse_metrics(amps)
 
 
 def entropy(amps: np.ndarray, norm_atol: float = 1e-10) -> float:
@@ -42,33 +53,24 @@ def entropy(amps: np.ndarray, norm_atol: float = 1e-10) -> float:
     norm_atol, since the entropy of an unnormalized vector is
     meaningless.
     """
-    weights = np.abs(np.asarray(amps)) ** 2
-    total = float(weights.sum())
-    if abs(total - 1.0) > norm_atol:
-        raise ValueError(
-            f"position amplitudes must be normalized: sum |c|^2 = {total!r}"
-        )
-    nonzero = weights[weights > 0.0]
-    return float(-(nonzero * np.log2(nonzero)).sum() + 0.0)
+    return float(_normalized_metrics(amps, norm_atol).entropy)
 
 
 def term_count(amps: np.ndarray, threshold: float = TERM_THRESHOLD) -> int:
-    """Number of amplitudes with modulus above the term threshold."""
-    return int(np.count_nonzero(np.abs(np.asarray(amps)) > threshold))
+    """Number of amplitudes whose normalized modulus exceeds the threshold."""
+    return int(collapse_metrics(np.asarray(amps, dtype=np.complex128), threshold).term_count)
 
 
 def normalized_entanglement(amps: np.ndarray, n_terms: int | None = None) -> float:
     """Entropy divided by its maximum log2 N for the retained terms.
 
-    Returns 0 when fewer than two terms survive the threshold; a single
-    position term carries no walker-walker entanglement by definition.
+    N is the term count of amps unless n_terms is given.  Returns 0 when
+    fewer than two terms survive the threshold.
     """
-    n = term_count(amps) if n_terms is None else n_terms
-    if n <= 1:
-        return 0.0
-    # rounding can overshoot the exact maximum by a few ulp; the ratio is
-    # capped at its mathematical bound
-    return min(entropy(amps) / float(np.log2(n)), 1.0)
+    metrics = _normalized_metrics(amps)
+    if n_terms is None:
+        return float(metrics.normalized)
+    return float(normalized_ratio(metrics.entropy, n_terms))
 
 
 @dataclass(frozen=True)
@@ -98,41 +100,24 @@ class AveragedEntanglement:
     value: float
 
 
-def record_from_collapse(result: CollapseResult, step: int) -> EntanglementRecord:
-    """Build the entanglement record for one collapse result."""
-    if result.probability == 0.0:
-        return EntanglementRecord(
-            step=step,
-            outcome=result.outcome,
-            probability=0.0,
-            term_count=0,
-            entropy=0.0,
-            normalized=0.0,
-        )
-    e_bits = entropy(result.amps)
-    value = (
-        min(e_bits / float(np.log2(result.term_count)), 1.0)
-        if result.term_count >= 2
-        else 0.0
-    )
-    return EntanglementRecord(
-        step=step,
-        outcome=result.outcome,
-        probability=result.probability,
-        term_count=result.term_count,
-        entropy=e_bits,
-        normalized=value,
-    )
-
-
 def _series(coin, shift, n_steps, outcomes, threshold=TERM_THRESHOLD):
     """One evolution, hypothetical collapses at every step for each outcome."""
-    records = {outcome: [] for outcome in outcomes}
-    for state in iter_steps(coin, shift, n_steps):
-        for outcome in outcomes:
-            records[outcome].append(
-                record_from_collapse(measure_spin(state, outcome, threshold), state.step)
+    u, v = coin.matrix()[None], shift.matrix()[None]
+    steps = [collapse_metrics(amps[:, 0], threshold) for _, amps in walk_batch(u, v, n_steps)]
+    records = {}
+    for outcome in outcomes:
+        row = outcome.row
+        records[outcome] = [
+            EntanglementRecord(
+                step=n,
+                outcome=outcome,
+                probability=float(m.probability[row]),
+                term_count=int(m.term_count[row]),
+                entropy=float(m.entropy[row]),
+                normalized=float(m.normalized[row]),
             )
+            for n, m in enumerate(steps, start=1)
+        ]
     return records
 
 

@@ -1,12 +1,13 @@
 """Parameter-space exploration: 1-D sweeps, five-parameter grid searches
 and per-coin catalogs of maximal-entanglement events.
 
-Single points run through the exact walk engine in `core`.  The grid
-searches run a vectorized batch engine that evolves one chunk of
-parameter tuples at a time, so memory stays bounded however large the
-grid; chunks can additionally be distributed over worker processes.
-Chunk boundaries depend only on the grid, never on the worker count, so
-output order and content are identical for any parallelism.
+Every point runs through the one walk engine in `core` (`walk_batch`
+with `collapse_metrics`), batched: a sweep, a catalog or a grid-search
+chunk evolves all its parameter tuples together, in chunks sized so
+memory stays bounded however many points there are.  Grid-search chunks
+can additionally be distributed over worker processes.  Chunk
+boundaries depend only on the grid, never on the worker count, so output
+order and content are identical for any parallelism.
 """
 
 from dataclasses import dataclass, field
@@ -17,16 +18,18 @@ import numpy as np
 
 from .core import (
     BALANCED_ALPHA,
-    TERM_THRESHOLD,
     CoinOperator,
     ShiftOperator,
     Spin,
     balanced_shift,
+    coin_matrices,
+    collapse_metrics,
     hadamard_coin,
     kempe_coin,
+    shift_matrices,
+    walk_batch,
     z_coin,
 )
-from .entanglement import _series
 
 __all__ = [
     "MAXIMAL_ATOL",
@@ -123,7 +126,7 @@ class SweepSpec:
     pins |beta| explicitly, e.g. to hold the shift at the exact balanced
     point while beta_arg sweeps).  include_balanced inserts the exact
     balanced alpha into an alpha sweep, where the averaged entanglement
-    is discontinuous.
+    is discontinuous, when it lies inside [start, stop].
     """
 
     coin_family: CoinFamily
@@ -179,7 +182,8 @@ class SweepSpec:
             values = np.append(values, self.stop)
         if not closed and values.size and values[-1] >= hi - 1e-12:
             values = values[:-1]
-        if self.include_balanced and not np.any(values == BALANCED_ALPHA):
+        inside = self.start <= BALANCED_ALPHA <= self.stop
+        if self.include_balanced and inside and not np.any(values == BALANCED_ALPHA):
             values = np.sort(np.append(values, BALANCED_ALPHA))
         return values
 
@@ -216,28 +220,30 @@ def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
         header = [spec.swept, "outcome", f"avg_E_{n}"]
     else:
         header = [spec.swept, "outcome", "step", "P", "N", "E_bits", "normalized_E"]
+    values = spec.values().tolist()
+    operators = [_point_operators(spec, value) for value in values]
     rows: list[tuple] = []
-    for value in spec.values():
-        coin, shift = _point_operators(spec, float(value))
-        records = _series(coin, shift, n, spec.outcomes)
-        for outcome in spec.outcomes:
-            series = records[outcome]
-            if spec.mode is SweepMode.AVERAGED:
-                mean = sum(r.normalized for r in series[1:]) / (n - 1)
-                rows.append((float(value), outcome.value, mean))
-            else:
-                for r in series:
-                    rows.append(
-                        (
-                            float(value),
-                            outcome.value,
-                            r.step,
-                            r.probability,
-                            r.term_count,
-                            r.entropy,
-                            r.normalized,
-                        )
-                    )
+    chunk = _auto_chunk(n)
+    for start in range(0, len(values), chunk):
+        part = operators[start : start + chunk]
+        u = np.stack([coin.matrix() for coin, _ in part])
+        v = np.stack([shift.matrix() for _, shift in part])
+        if spec.mode is SweepMode.AVERAGED:
+            mean = _averaged(u, v, n)[0]
+        else:
+            steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n)]
+            columns = [np.stack(column) for column in zip(*steps)]  # each (n, 2, B)
+        for j, value in enumerate(values[start : start + chunk]):
+            for outcome in spec.outcomes:
+                r = outcome.row
+                if spec.mode is SweepMode.AVERAGED:
+                    rows.append((value, outcome.value, float(mean[r, j])))
+                    continue
+                p, n_terms, e_bits, cal = (col[:, r, j].tolist() for col in columns)
+                rows.extend(
+                    (value, outcome.value, a, *metrics)
+                    for a, metrics in enumerate(zip(p, n_terms, e_bits, cal), start=1)
+                )
     return header, rows
 
 
@@ -258,66 +264,58 @@ class MaxEntanglementHit:
 
 
 # ---------------------------------------------------------------------------
-# vectorized batch engine
+# batched reductions over the walk engine
 
-_TINY = 5e-324  # smallest subnormal; log2 argument floor so 0 log 0 -> -0.0
-
-
-def _batch_metrics(rho, theta, eta, alpha, beta_arg, n_steps, metrics_from=2):
-    """Evolve a batch of walks, yielding per-step collapse metrics.
-
-    Yields (step, {Spin: (P, N, E, calE)}) with one array entry per
-    parameter tuple.  Phases use plain cos/sin: batch grids do not hit
-    the degenerate quarter-turn points that the scalar engine treats
-    exactly, and hits are revalidated through that engine anyway.
-    """
-    batch = rho.size
-    stay = np.sqrt(rho)
-    flip = np.sqrt(1.0 - rho)
-    u00 = stay.astype(np.complex128)[:, None]
-    u01 = (flip * np.exp(1j * (theta - eta)))[:, None]
-    u10 = (-flip * np.exp(-1j * (theta + eta)))[:, None]
-    u11 = (stay * np.exp(-2j * eta))[:, None]
-    beta = (np.sqrt((1.0 - alpha) * (1.0 + alpha)) * np.exp(1j * beta_arg))[:, None]
-    neg_bconj = -beta.conj()
-    alpha_c = alpha.astype(np.complex128)[:, None]
-
-    up = np.ones((batch, 1), dtype=np.complex128)
-    down = np.zeros((batch, 1), dtype=np.complex128)
-    for a in range(1, n_steps + 1):
-        bu = u00 * up + u01 * down
-        bd = u10 * up + u11 * down
-        width = up.shape[1] + 2
-        up = np.zeros((batch, width), dtype=np.complex128)
-        down = np.zeros((batch, width), dtype=np.complex128)
-        up[:, 2:] = alpha_c * bu + beta * bd
-        down[:, :-2] = neg_bconj * bu + alpha_c * bd
-        if a < metrics_from:
-            continue
-        metrics = {}
-        for outcome, amps in ((Spin.UP, up), (Spin.DOWN, down)):
-            p = amps.real * amps.real + amps.imag * amps.imag
-            prob = p.sum(axis=1)
-            keep = p > (TERM_THRESHOLD * TERM_THRESHOLD) * prob[:, None]
-            n_terms = keep.sum(axis=1)
-            # E = log2(P) - (sum p log2 p)/P for unnormalized weights p
-            plog = (p * np.log2(np.maximum(p, _TINY))).sum(axis=1)
-            safe = np.maximum(prob, _TINY)
-            e_bits = np.where(prob > 0.0, np.log2(safe) - plog / safe, 0.0)
-            cal = np.where(
-                n_terms >= 2, e_bits / np.log2(np.maximum(n_terms, 2)), 0.0
-            )
-            cal = np.minimum(np.where(prob > 0.0, cal, 0.0), 1.0)
-            metrics[outcome] = (prob, n_terms, e_bits, cal)
-        yield a, metrics
+#: spins in the order of the engine's rows
+_SPINS = tuple(sorted(Spin, key=lambda spin: spin.row))
 
 
 def _auto_chunk(n_steps: int) -> int:
-    # keep each (batch, 2 n + 1) complex array around 32 MB
-    return max(4096, (1 << 21) // (2 * n_steps + 1))
+    # keep each (batch, n + 1) complex array around 32 MB
+    return max(4096, (1 << 21) // (n_steps + 1))
 
 
-_OUTCOME_ORDER = {Spin.UP: 0, Spin.DOWN: 1}
+def _averaged(u, v, n_steps):
+    """Mean normalized E over steps 2..n_steps (n_steps >= 2), the least P
+    over those steps and the last step's N, each (2, B) by `Spin.row`.
+    """
+    total, min_p = np.zeros((2, u.shape[0])), np.ones((2, u.shape[0]))
+    for a, amps in walk_batch(u, v, n_steps):
+        if a < 2:  # one step leaves one term and is left out of the average
+            continue
+        metrics = collapse_metrics(amps)
+        total += metrics.normalized
+        np.minimum(min_p, metrics.probability, out=min_p)
+        last_n = metrics.term_count
+    return total / (n_steps - 1), min_p, last_n
+
+
+def _isolated_hits(u, v, n_steps, p_threshold, maximal_atol):
+    """Every (walk, step, spin) whose collapse is maximally entangled with
+    probability above p_threshold.
+
+    Returns columns (walk, step, row, normalized E, P, N) sorted by walk,
+    then step, then up before down.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    found = [(empty, empty, empty, np.zeros(0), np.zeros(0), empty)]
+    for a, amps in walk_batch(u, v, n_steps):
+        if a < 2:  # one step leaves one term: never entangled
+            continue
+        metrics = collapse_metrics(amps)
+        hit = (metrics.normalized > 1.0 - maximal_atol) & (metrics.probability > p_threshold)
+        rows, walks = np.nonzero(hit)
+        found.append((
+            walks,
+            np.full(walks.size, a),
+            rows,
+            metrics.normalized[hit],
+            metrics.probability[hit],
+            metrics.term_count[hit],
+        ))
+    columns = [np.concatenate(column) for column in zip(*found)]
+    order = np.lexsort(columns[2::-1])
+    return [column[order] for column in columns]
 
 
 def _chunk_params(axes, sizes, start, stop):
@@ -330,56 +328,31 @@ def _search_chunk(task):
     """Scan one chunk of grid indices; return hit rows sorted by tuple."""
     (start, stop, grid_step, n_steps, mode_value, p_threshold, avg_threshold, maximal_atol) = task
     axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
-    sizes = [axis.size for axis in axes]
-    params = _chunk_params(axes, sizes, start, stop)
-    rows = []
+    params = _chunk_params(axes, [axis.size for axis in axes], start, stop)
+    u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
     if mode_value == SearchMode.ISOLATED_MAX.value:
-        for a, metrics in _batch_metrics(*params, n_steps=n_steps):
-            for outcome, (prob, n_terms, _e, cal) in metrics.items():
-                hit = (cal > 1.0 - maximal_atol) & (prob > p_threshold)
-                for i in np.nonzero(hit)[0]:
-                    rows.append(
-                        (
-                            int(i),
-                            a,
-                            _OUTCOME_ORDER[outcome],
-                            outcome.value,
-                            float(cal[i]),
-                            float(prob[i]),
-                            int(n_terms[i]),
-                        )
-                    )
+        walks, steps, rows, cal, prob, n_terms = _isolated_hits(
+            u, v, n_steps, p_threshold, maximal_atol
+        )
     else:
-        batch = params[0].size
-        total = {s: np.zeros(batch) for s in (Spin.UP, Spin.DOWN)}
-        min_p = {s: np.ones(batch) for s in (Spin.UP, Spin.DOWN)}
-        last_n = {s: np.ones(batch, dtype=np.int64) for s in (Spin.UP, Spin.DOWN)}
-        for a, metrics in _batch_metrics(*params, n_steps=n_steps):
-            for outcome, (prob, n_terms, _e, cal) in metrics.items():
-                total[outcome] += cal
-                np.minimum(min_p[outcome], prob, out=min_p[outcome])
-                last_n[outcome] = n_terms
-        for outcome in (Spin.UP, Spin.DOWN):
-            mean = total[outcome] / (n_steps - 1)
-            hit = (mean > avg_threshold) & (min_p[outcome] > p_threshold)
-            for i in np.nonzero(hit)[0]:
-                rows.append(
-                    (
-                        int(i),
-                        n_steps,
-                        _OUTCOME_ORDER[outcome],
-                        outcome.value,
-                        float(mean[i]),
-                        float(min_p[outcome][i]),
-                        int(last_n[outcome][i]),
-                    )
-                )
-    rows.sort()
-    out = []
-    for i, a, _order, outcome_value, cal, prob, n_terms in rows:
-        point = [float(params[d][i]) for d in range(5)]
-        out.append((*point, a, outcome_value, cal, prob, n_terms))
-    return out
+        mean, min_p, last_n = _averaged(u, v, n_steps)
+        hit = (mean > avg_threshold) & (min_p > p_threshold)
+        walks, rows = np.nonzero(hit.T)
+        steps = np.full(walks.size, n_steps)
+        cal, prob, n_terms = mean[rows, walks], min_p[rows, walks], last_n[rows, walks]
+    return _hit_rows(params, walks, steps, rows, cal, prob, n_terms)
+
+
+def _hit_rows(params, walks, steps, rows, cal, prob, n_terms) -> list[tuple]:
+    """Hit columns as picklable tuples in `MaxEntanglementHit` field order."""
+    points = zip(*(p[walks].tolist() for p in params))
+    outcomes = [_SPINS[r].value for r in rows.tolist()]
+    columns = zip(points, steps.tolist(), outcomes, cal.tolist(), prob.tolist(), n_terms.tolist())
+    return [(*point, *hit) for point, *hit in columns]
+
+
+def _hit(row: tuple) -> MaxEntanglementHit:
+    return MaxEntanglementHit(*row[:6], Spin(row[6]), *row[7:])
 
 
 def grid_search(
@@ -403,8 +376,11 @@ def grid_search(
 
     Hits stream in grid order (then step, then up before down).  The
     scan is chunked, so memory stays bounded for any grid size; pass
-    workers > 1 to spread chunks over processes.
+    workers > 1 to spread chunks over up to that many processes (no more
+    than there are chunks; a single chunk starts no process).
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     if not 0.0 < p_threshold < 1.0:
         raise ValueError(f"p_threshold must lie in (0, 1), got {p_threshold}")
     if n_steps < 2:
@@ -418,30 +394,16 @@ def grid_search(
         for start in range(0, total, chunk)
     ]
 
-    def to_hits(rows):
-        for rho, theta, eta, alpha, beta_arg, a, outcome_value, cal, prob, n_terms in rows:
-            yield MaxEntanglementHit(
-                rho=rho,
-                theta=theta,
-                eta=eta,
-                alpha=alpha,
-                beta_arg=beta_arg,
-                step=a,
-                outcome=Spin(outcome_value),
-                normalized=cal,
-                probability=prob,
-                term_count=n_terms,
-            )
-
-    if workers and workers > 1:
+    processes = min(workers or 1, len(tasks))
+    if processes > 1:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(processes=workers) as pool:
+        with get_context("fork").Pool(processes=processes) as pool:
             for rows in pool.imap(_search_chunk, tasks):
-                yield from to_hits(rows)
+                yield from map(_hit, rows)
     else:
         for task in tasks:
-            yield from to_hits(_search_chunk(task))
+            yield from map(_hit, _search_chunk(task))
 
 
 def find_max_cases(
@@ -471,37 +433,19 @@ def find_max_cases(
         quarter = float(np.pi / 2)
         extra = [quarter, 2 * quarter, 3 * quarter]
         beta_arg_values = np.unique(np.append(grid_axis("beta_arg", 0.1), extra))
+    points = [(float(a), float(b)) for a in alpha_values for b in beta_arg_values]
     hits = []
-    for alpha in alpha_values:
-        alpha = float(alpha)
-        for beta_arg in beta_arg_values:
-            beta_arg = float(beta_arg)
-            if alpha == BALANCED_ALPHA:
-                shift = balanced_shift(beta_arg)
-            else:
-                shift = ShiftOperator(alpha=alpha, beta_arg=beta_arg)
-            records = _series(coin, shift, n_max, (Spin.UP, Spin.DOWN))
-            for outcome in (Spin.UP, Spin.DOWN):
-                for record in records[outcome]:
-                    if (
-                        record.normalized > 1.0 - maximal_atol
-                        and record.probability > p_threshold
-                    ):
-                        hits.append(
-                            MaxEntanglementHit(
-                                rho=coin.rho,
-                                theta=coin.theta,
-                                eta=coin.eta,
-                                alpha=alpha,
-                                beta_arg=beta_arg,
-                                step=record.step,
-                                outcome=outcome,
-                                normalized=record.normalized,
-                                probability=record.probability,
-                                term_count=record.term_count,
-                            )
-                        )
-    hits.sort(
-        key=lambda h: (h.alpha, h.beta_arg, h.step, _OUTCOME_ORDER[h.outcome])
-    )
+    chunk = _auto_chunk(n_max)
+    for start in range(0, len(points), chunk):
+        part = points[start : start + chunk]
+        v = np.stack([
+            (balanced_shift(b) if a == BALANCED_ALPHA else ShiftOperator(a, b)).matrix()
+            for a, b in part
+        ])
+        u = np.broadcast_to(coin.matrix(), v.shape)
+        coin_params = [np.full(len(part), x) for x in (coin.rho, coin.theta, coin.eta)]
+        params = coin_params + list(np.array(part).T)
+        columns = _isolated_hits(u, v, n_max, p_threshold, maximal_atol)
+        hits.extend(map(_hit, _hit_rows(params, *columns)))
+    hits.sort(key=lambda h: (h.alpha, h.beta_arg, h.step, h.outcome.row))
     return hits

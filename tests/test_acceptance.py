@@ -34,7 +34,7 @@ from tandemwalk import (
     walk_entanglement_series,
     z_coin,
 )
-from tandemwalk.sweep import _batch_metrics
+from tandemwalk.core import coin_matrices, collapse_metrics, shift_matrices, walk_batch
 
 QUARTER = np.pi / 2
 NEAR_BALANCED = 0.7071067812  # close to, but not exactly, the balanced point
@@ -106,7 +106,7 @@ def test_criterion_02_oracle_equivalence():
             worst_prob = max(worst_prob, abs(result.probability - closed.probability))
             if closed.probability > 1e-20:
                 expected = closed.normalized_amps()
-                got = np.array([result.amps[s - result.offset] for s in closed.sites])
+                got = np.array([result.amplitude(s) for s in closed.sites])
                 pivot = int(np.argmax(np.abs(expected)))
                 rotation = expected[pivot] / got[pivot]
                 got = got * (rotation / abs(rotation))
@@ -121,16 +121,14 @@ def test_criterion_02_oracle_equivalence():
 
 
 def _down_slice_maximal(params):
-    worst = 1.0
-    dead = []
-    for _a, metrics in _batch_metrics(*params, n_steps=2):
-        prob, _n, _e, cal = metrics[Spin.DOWN]
-        live = prob > 1e-18
-        if live.any():
-            worst = min(worst, float(cal[live].min()))
-        dead.append(params[3][~live])
-    dead_alphas = np.concatenate(dead) if dead else np.zeros(0)
-    return worst, dead_alphas
+    u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
+    for _a, amps in walk_batch(u, v, 2):
+        metrics = collapse_metrics(amps)
+    prob = metrics.probability[Spin.DOWN.row]
+    cal = metrics.normalized[Spin.DOWN.row]
+    live = prob > 1e-18
+    worst = float(cal[live].min()) if live.any() else 1.0
+    return worst, params[3][~live]
 
 
 def test_criterion_03_maximality_conditions():

@@ -105,7 +105,7 @@ class TestStep2States:
         ):
             result = measure_spin(state, outcome)
             assert abs(result.probability - closed.probability) < 1e-12
-            got = np.array([result.amps[s - result.offset] for s in closed.sites])
+            got = np.array([result.amplitude(s) for s in closed.sites])
             aligned = align_phase(got, closed.normalized_amps())
             assert np.max(np.abs(aligned - closed.normalized_amps())) < 1e-12
 
@@ -151,7 +151,7 @@ class TestOracleEquivalence:
                 worst_prob = max(worst_prob, abs(result.probability - closed.probability))
                 if closed.probability > 1e-20:
                     got = np.array(
-                        [result.amps[s - result.offset] for s in closed.sites]
+                        [result.amplitude(s) for s in closed.sites]
                     )
                     aligned = align_phase(got, closed.normalized_amps())
                     worst_amp = max(

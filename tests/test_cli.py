@@ -1,3 +1,5 @@
+import pytest
+
 from tandemwalk import BALANCED_ALPHA
 from tandemwalk.cli import main
 
@@ -84,6 +86,14 @@ class TestEvolve:
         )
         assert code == 2
         assert "rho" in err
+
+    def test_displacement_flags_removed(self, capsys):
+        code, out, _ = run(capsys, "evolve", "--steps", "2")
+        assert code == 0
+        assert "# p=" not in out and "# q=" not in out
+        code, _, err = run(capsys, "evolve", "--steps", "2", "--p", "3")
+        assert code == 2
+        assert "--p" in err
 
     def test_r2inv_alias_hits_exact_degeneracy(self, capsys):
         code, out, _ = run(
@@ -181,6 +191,15 @@ class TestSweep:
         assert header[0] == "beta_arg"
         assert len(rows) == 5  # single grid point, per-step rows
 
+    def test_alpha_sweep_stays_inside_its_range(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--coin", "hadamard", "--sweep", "alpha",
+            "--start", "0.3", "--stop", "0.3", "--steps", "4",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert {r[0] for r in rows} == {"0.3"}
+
     def test_missing_mode_rejected(self, capsys):
         code, _, err = run(capsys, "sweep")
         assert code == 2
@@ -248,6 +267,29 @@ class TestSearch:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows == []
+
+    def test_grid_echoed_only_where_it_shapes_rows(self, capsys):
+        code, out, _ = run(capsys, "search", "--coin", "z", "--steps", "3", "--grid", "0.5")
+        assert code == 0
+        assert "# grid=" not in out
+        code, out, _ = run(
+            capsys, "search", "--coin", "general", "--grid", "0.5", "--steps", "3",
+            "--workers", "1",
+        )
+        assert code == 0
+        assert "# grid=0.5" in out
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_non_positive_workers_rejected(self, capsys, monkeypatch, value):
+        args = ["search", "--coin", "general", "--grid", "0.5", "--steps", "3"]
+        code, out, err = run(capsys, *args, "--workers", value)
+        assert code == 2
+        assert "--workers" in err and "positive" in err
+        assert out == ""
+        monkeypatch.setenv("QRW_WORKERS", value)
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert "QRW_WORKERS" in err and "positive" in err
 
     def test_worker_count_keeps_bytes_identical(self, capsys):
         args = ["search", "--mode", "isolated", "--coin", "general", "--grid", "0.5",

@@ -23,7 +23,7 @@ from tandemwalk import (
 QUARTER = np.pi / 2
 
 
-def reference_walk(coin_matrix, alpha, beta, p, q, n_steps):
+def reference_walk(coin_matrix, alpha, beta, n_steps):
     """Dict-based brute-force walk, independent of the array engine."""
     amps = {(Spin.UP, 0): 1.0 + 0.0j}
     for _ in range(n_steps):
@@ -37,8 +37,8 @@ def reference_walk(coin_matrix, alpha, beta, p, q, n_steps):
         for (spin, site), value in after_coin.items():
             if value == 0:
                 continue
-            up_key = (Spin.UP, site + p)
-            down_key = (Spin.DOWN, site + q)
+            up_key = (Spin.UP, site + 1)
+            down_key = (Spin.DOWN, site - 1)
             up_term = (alpha if spin is Spin.UP else beta) * value
             down_term = (-np.conj(beta) if spin is Spin.UP else np.conj(alpha)) * value
             shifted[up_key] = shifted.get(up_key, 0.0) + up_term
@@ -144,10 +144,6 @@ class TestShift:
         assert abs(abs(s.beta) - 0.8) < 1e-15
         assert abs(np.angle(s.beta) - 1.2) < 1e-15
 
-    def test_equal_displacements_rejected(self):
-        with pytest.raises(ValueError, match="p and q"):
-            ShiftOperator(alpha=0.5, p=2, q=2)
-
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
             ShiftOperator(alpha=1.5)
@@ -219,7 +215,7 @@ class TestEvolution:
         for _ in range(10):
             coin, shift = random_operators(rng)
             state = evolve(coin, shift, 6)
-            expected = reference_walk(coin.matrix(), shift.alpha, shift.beta, 1, -1, 6)
+            expected = reference_walk(coin.matrix(), shift.alpha, shift.beta, 6)
             for (spin, site), value in expected.items():
                 assert abs(state.amplitude(spin, site) - value) < 1e-12
 
@@ -244,19 +240,6 @@ class TestEvolution:
                 + measure_spin(state, Spin.DOWN).probability
             )
             assert abs(total - 1.0) < 1e-12
-
-    def test_wider_displacements_rescale_the_line(self):
-        rng = np.random.default_rng(19)
-        coin, shift = random_operators(rng)
-        doubled = ShiftOperator(alpha=shift.alpha, beta_arg=shift.beta_arg, p=2, q=-2)
-        narrow = evolve(coin, shift, 9)
-        wide = evolve(coin, doubled, 9)
-        for site in narrow.sites():
-            for spin in Spin:
-                assert (
-                    abs(narrow.amplitude(spin, site) - wide.amplitude(spin, 2 * site))
-                    < 1e-12
-                )
 
     def test_first_step_never_entangles(self):
         rng = np.random.default_rng(23)
@@ -285,7 +268,7 @@ class TestMeasurement:
         shift = balanced_shift(0.7)
         state = evolve(z_coin(), shift, 2)
         result = measure_spin(state, Spin.UP)
-        expected = reference_walk(z_coin().matrix(), shift.alpha, shift.beta, 1, -1, 2)
+        expected = reference_walk(z_coin().matrix(), shift.alpha, shift.beta, 2)
         prob = sum(
             abs(v) ** 2 for (spin, _), v in expected.items() if spin is Spin.UP
         )

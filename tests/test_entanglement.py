@@ -149,6 +149,21 @@ class TestSeries:
         assert all(r.zero_probability for r in series)
         assert all(r.normalized == 0.0 for r in series)
 
+    @pytest.mark.parametrize(
+        "coin, shift",
+        [(hadamard_coin(), balanced_shift(0.0)), (kempe_coin(), balanced_shift(3 * np.pi / 2))],
+        ids=["hadamard-real", "kempe-3pi/2"],
+    )
+    def test_product_chains_stay_exact_for_800_steps(self, coin, shift):
+        ups = walk_entanglement_series(coin, shift, 800, Spin.UP)
+        downs = walk_entanglement_series(coin, shift, 800, Spin.DOWN)
+        for up, down in zip(ups, downs):
+            assert down.probability == 0.0
+            assert up.entropy == down.entropy == 0.0
+            assert up.normalized == down.normalized == 0.0
+            # two ulp: the rounding of the balanced moduli, never growing
+            assert abs(up.probability + down.probability - 1.0) <= 2 * np.finfo(float).eps
+
     def test_entropy_bounded_by_term_count(self):
         coin = CoinOperator(rho=0.62, theta=0.8, eta=2.3)
         shift = ShiftOperator(alpha=0.81, beta_arg=1.9)

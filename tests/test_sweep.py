@@ -16,9 +16,17 @@ from tandemwalk import (
     normalized_entanglement,
     sweep_1d,
 )
-from tandemwalk.sweep import _batch_metrics, family_coin
-from tandemwalk.core import CoinOperator, ShiftOperator
-from tandemwalk.entanglement import record_from_collapse
+from tandemwalk.sweep import family_coin
+from tandemwalk.core import (
+    CoinOperator,
+    ShiftOperator,
+    coin_matrices,
+    collapse_metrics,
+    shift_matrices,
+    walk_batch,
+)
+
+from test_core import reference_walk
 
 
 class TestGridAxis:
@@ -65,6 +73,16 @@ class TestSweepSpec:
         assert BALANCED_ALPHA in values
         assert values.size == 6
         assert np.all(np.diff(values) > 0)
+
+    def test_balanced_point_only_inserted_inside_the_range(self):
+        outside = SweepSpec(
+            CoinFamily.HADAMARD, "alpha", 0.3, 0.3, 0.005, 10, include_balanced=True
+        )
+        assert list(outside.values()) == [0.3]
+        above = SweepSpec(
+            CoinFamily.HADAMARD, "alpha", 0.8, 1.0, 0.1, 10, include_balanced=True
+        )
+        assert BALANCED_ALPHA not in above.values()
 
     def test_degenerate_single_value_range(self):
         spec = SweepSpec(CoinFamily.HADAMARD, "alpha", 0.37, 0.37, 1.0, 10)
@@ -145,23 +163,36 @@ class TestBatchEngine:
             rng.uniform(0, 1, size),
             rng.uniform(0, 2 * np.pi, size),
         ]
-        collected = {}
-        for a, metrics in _batch_metrics(*params, n_steps=8, metrics_from=1):
-            collected[a] = metrics
+        u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
+        batch = {a: collapse_metrics(amps) for a, amps in walk_batch(u, v, 8)}
         for i in range(size):
             coin = CoinOperator(rho=params[0][i], theta=params[1][i], eta=params[2][i])
             shift = ShiftOperator(alpha=params[3][i], beta_arg=params[4][i])
-            state = None
-            from tandemwalk import iter_steps
-
-            for state in iter_steps(coin, shift, 8):
+            single = {
+                a: collapse_metrics(amps)
+                for a, amps in walk_batch(coin.matrix()[None], shift.matrix()[None], 8)
+            }
+            for a in range(1, 9):
+                expected = reference_walk(coin.matrix(), shift.alpha, shift.beta, a)
                 for outcome in Spin:
-                    record = record_from_collapse(measure_spin(state, outcome), state.step)
-                    prob, n_terms, e_bits, cal = collected[state.step][outcome]
-                    assert abs(record.probability - prob[i]) < 1e-12
-                    assert record.term_count == n_terms[i]
-                    assert abs(record.entropy - e_bits[i]) < 1e-10
-                    assert abs(record.normalized - cal[i]) < 1e-10
+                    got = [column[outcome.row, i] for column in batch[a]]
+                    one = [column[outcome.row, 0] for column in single[a]]
+                    assert got[1] == one[1]
+                    assert np.allclose(got, one, rtol=0, atol=1e-12)
+                    terms = np.array(
+                        [x for (spin, _), x in sorted(expected.items(), key=lambda kv: kv[0][1])
+                         if spin is outcome]
+                    )
+                    prob = float(np.sum(np.abs(terms) ** 2))
+                    weights = np.abs(terms) ** 2 / prob
+                    n_terms = int(np.count_nonzero(np.sqrt(weights) > 1e-10))
+                    nonzero = weights[weights > 0]
+                    e_bits = float(-(nonzero * np.log2(nonzero)).sum())
+                    cal = min(e_bits / np.log2(n_terms), 1.0) if n_terms >= 2 else 0.0
+                    assert abs(got[0] - prob) < 1e-12
+                    assert got[1] == n_terms
+                    assert abs(got[2] - e_bits) < 1e-10
+                    assert abs(got[3] - cal) < 1e-10
 
 
 class TestGridSearch:
@@ -195,6 +226,13 @@ class TestGridSearch:
         )
         assert serial == parallel
 
+    def test_pool_of_two_matches_serial(self):
+        serial = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=1))
+        pooled = list(
+            grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2, chunk_size=2000)
+        )
+        assert serial == pooled
+
     def test_chunk_size_does_not_change_output(self):
         small = list(
             grid_search(
@@ -213,6 +251,43 @@ class TestGridSearch:
             grid_search(grid_step=0.5, n_steps=12, mode=SearchMode.AVERAGED_HIGH)
         )
         assert hits == []
+
+    def test_pool_size_capped_by_task_count(self, monkeypatch):
+        import multiprocessing
+
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+        serial = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=1))
+        # 7488 grid points in chunks of 2000 make four tasks
+        capped = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=64, chunk_size=2000))
+        assert started == [4]
+        two = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2, chunk_size=2000))
+        assert started == [4, 2]
+        single_task = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=8))
+        assert started == [4, 2]  # one chunk: no pool at all
+        assert serial == capped == two == single_task
+
+    def test_worker_count_validated(self):
+        for workers in (0, -4):
+            with pytest.raises(ValueError, match="workers"):
+                list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=workers))
 
     def test_thresholds_validated(self):
         with pytest.raises(ValueError, match="p_threshold"):
