@@ -20,8 +20,7 @@ for family in (CoinFamily.HADAMARD, CoinFamily.Z):
         step=0.02,
         n_steps=N_STEPS,
         fixed={"beta_arg": 0.0},
-        include_balanced=True,  # insert the exact balanced point
-    )
+    )  # an alpha sweep always contains the exact balanced point
     header, rows = sweep_1d(spec)
     path = f"averaged_vs_alpha_{family.value}.csv"
     with open(path, "w") as fh:

@@ -17,7 +17,7 @@ spec = SweepSpec(
     stop=2 * float(np.pi),
     step=0.02,
     n_steps=200,
-    fixed={"alpha": BALANCED_ALPHA, "beta_mod": BALANCED_ALPHA},
+    fixed={"alpha": BALANCED_ALPHA},
 )
 header, rows = sweep_1d(spec)
 with open("kempe_phase_structure.csv", "w") as fh:

@@ -1,9 +1,5 @@
 """Closed forms for the first two walk steps, used as an independent
 oracle against the numeric engine.
-
-All expressions assume a zero global coin phase; the phase multiplies
-every amplitude equally and is invisible to probabilities and entropies,
-so nothing is lost.
 """
 
 import numpy as np
@@ -23,11 +19,6 @@ __all__ = [
 #: tolerance for comparing coefficient moduli; looser than machine
 #: precision to absorb cancellation in the four-term down coefficients
 MODULUS_ATOL = 1e-9
-
-
-def _require_zero_phase(coin: CoinOperator):
-    if coin.phi != 0.0:
-        raise ValueError("closed forms assume a coin with zero global phase")
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,6 @@ class Step2State:
 
 def phi1(coin: CoinOperator, shift: ShiftOperator) -> tuple[complex, complex]:
     """Amplitudes of |up>(x)|1,1> and |down>(x)|-1,-1> after one step."""
-    _require_zero_phase(coin)
     w = phase_factor(-(coin.theta + coin.eta))
     stay = np.sqrt(coin.rho)
     flip = np.sqrt(1.0 - coin.rho)
@@ -74,7 +64,6 @@ def phi1(coin: CoinOperator, shift: ShiftOperator) -> tuple[complex, complex]:
 
 def psi_up_2(coin: CoinOperator, shift: ShiftOperator) -> Step2State:
     """Unnormalized position state after two steps and an up measurement."""
-    _require_zero_phase(coin)
     w = phase_factor(-(coin.theta + coin.eta))
     stay = np.sqrt(coin.rho)
     flip = np.sqrt(1.0 - coin.rho)
@@ -95,7 +84,6 @@ def psi_down_2(coin: CoinOperator, shift: ShiftOperator) -> Step2State:
     shift parameters: a down measurement at the second step yields a
     maximally entangled two-term state whenever it can occur at all.
     """
-    _require_zero_phase(coin)
     w = phase_factor(-(coin.theta + coin.eta))
     cross = np.sqrt(coin.rho * (1.0 - coin.rho))
     alpha = shift.alpha
@@ -129,7 +117,6 @@ def max_condition_up(
     |alpha sqrt(1-rho) + beta sqrt(rho) e^{-i(theta+eta)}|, i.e. iff the
     two coefficients of the up-collapsed step-2 state have equal moduli.
     """
-    _require_zero_phase(coin)
     w = phase_factor(-(coin.theta + coin.eta))
     stay = np.sqrt(coin.rho)
     flip = np.sqrt(1.0 - coin.rho)

@@ -60,7 +60,7 @@ _FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 _FINE = 0.005
 
 #: fixed shift parameters at the exact balanced point
-_BALANCED = {"alpha": BALANCED_ALPHA, "beta_mod": BALANCED_ALPHA}
+_BALANCED = {"alpha": BALANCED_ALPHA}
 
 #: fig2's alpha just off the balanced point, as a user would type it
 _NEAR_BALANCED_ALPHA = 0.7071067812
@@ -204,13 +204,7 @@ def _add_operator_args(parser: argparse.ArgumentParser):
 def _build_operators(args) -> tuple[CoinOperator, ShiftOperator]:
     family = CoinFamily(args.coin)
     coin = family_coin(family, rho=args.rho, theta=args.theta, eta=args.eta)
-    balanced = args.alpha == BALANCED_ALPHA
-    shift = ShiftOperator(
-        alpha=args.alpha,
-        beta_arg=args.beta_arg,
-        beta_mod=BALANCED_ALPHA if balanced else None,
-    )
-    return coin, shift
+    return coin, ShiftOperator(alpha=args.alpha, beta_arg=args.beta_arg)
 
 
 def _operator_meta(args) -> dict:
@@ -248,14 +242,16 @@ def cmd_evolve(args) -> int:
 
 def _figure_rows(tag: str, n_steps_override: int | None):
     """Description, header and rows for one named preset scan."""
-    n = n_steps_override or (800 if tag == "fig2" else 200)
+    n = n_steps_override
+    if n is None:
+        n = 800 if tag == "fig2" else 200
     hadamard, real = CoinFamily.HADAMARD, {"beta_arg": 0.0}
     alphas = ("alpha", 0.0, 1.0, _FINE)
     phases = ("beta_arg", 0.0, 2 * float(np.pi), _FINE)
     figures = {
         "fig1": (
             f"averaged entanglement over {n} steps vs alpha, hadamard coin, real beta",
-            lambda: [SweepSpec(hadamard, *alphas, n, fixed=real, include_balanced=True)],
+            lambda: [SweepSpec(hadamard, *alphas, n, fixed=real)],
         ),
         "fig2": (
             f"per-step entanglement for {n} steps, hadamard coin, three alpha values",
@@ -282,7 +278,7 @@ def _figure_rows(tag: str, n_steps_override: int | None):
         ),
         "fig6": (
             f"averaged entanglement over {n} steps vs alpha, z coin, real beta",
-            lambda: [SweepSpec(CoinFamily.Z, *alphas, n, fixed=real, include_balanced=True)],
+            lambda: [SweepSpec(CoinFamily.Z, *alphas, n, fixed=real)],
         ),
     }
     if tag not in figures:
@@ -316,8 +312,6 @@ def cmd_sweep(args) -> int:
                 fixed[key] = value
         if args.sweep != "alpha":
             fixed["alpha"] = args.alpha
-            if args.alpha == BALANCED_ALPHA:
-                fixed["beta_mod"] = BALANCED_ALPHA
         if args.sweep != "beta_arg":
             fixed["beta_arg"] = args.beta_arg
         spec = SweepSpec(
@@ -326,11 +320,10 @@ def cmd_sweep(args) -> int:
             args.start,
             args.stop,
             args.step,
-            args.steps or 200,
+            200 if args.steps is None else args.steps,
             fixed=fixed,
             outcomes=_parse_outcomes(args.outcome),
             mode=SweepMode(args.mode),
-            include_balanced=args.sweep == "alpha",
         )
         header, rows = sweep_1d(spec)
         meta = {"command": "sweep", **_operator_meta(args)}

@@ -88,7 +88,7 @@ def phase_factor(angle):
     return complex(out) if out.ndim == 0 else out
 
 
-def coin_matrices(rho, theta, eta, phi=0.0) -> np.ndarray:
+def coin_matrices(rho, theta, eta) -> np.ndarray:
     """Coin matrices for scalar or array parameters, shape (..., 2, 2).
 
     See `CoinOperator` for the parametrisation; the phases go through
@@ -96,25 +96,27 @@ def coin_matrices(rho, theta, eta, phi=0.0) -> np.ndarray:
     """
     stay = np.sqrt(rho)
     flip = np.sqrt(1.0 - rho)
-    shape = np.broadcast(rho, theta, eta, phi).shape
+    shape = np.broadcast(rho, theta, eta).shape
     m = np.empty(shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = stay
     m[..., 0, 1] = flip * phase_factor(np.subtract(theta, eta))
     m[..., 1, 0] = -flip * phase_factor(-np.add(theta, eta))
     m[..., 1, 1] = stay * phase_factor(np.multiply(-2.0, eta))
-    if np.any(phi):
-        m *= np.asarray(phase_factor(phi))[..., None, None]
     return m
 
 
-def shift_matrices(alpha, beta_arg, beta_mod=None) -> np.ndarray:
+def shift_matrices(alpha, beta_arg) -> np.ndarray:
     """Shift mixing matrices [[alpha, beta], [-conj(beta), alpha]], shape (..., 2, 2).
 
-    beta = |beta| e^{i beta_arg} with |beta| = sqrt(1 - alpha^2) unless
-    beta_mod pins it (scalar or array).
+    beta = |beta| e^{i beta_arg} with |beta| = sqrt(1 - alpha^2), except
+    at the balanced point alpha = BALANCED_ALPHA, where |beta| is that
+    same float: the square root lands one ulp below it, and the equal
+    moduli are what keep the degenerate walks there exactly degenerate.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    mod = np.sqrt((1.0 - alpha) * (1.0 + alpha)) if beta_mod is None else beta_mod
+    mod = np.where(
+        alpha == BALANCED_ALPHA, BALANCED_ALPHA, np.sqrt((1.0 - alpha) * (1.0 + alpha))
+    )
     beta = mod * phase_factor(beta_arg)
     m = np.empty(np.broadcast(alpha, beta).shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = alpha
@@ -143,16 +145,15 @@ class CoinOperator:
     The realized matrix is
 
         [[ sqrt(rho),                sqrt(1-rho) e^{i(theta-eta)} ],
-         [ -sqrt(1-rho) e^{-i(theta+eta)}, sqrt(rho) e^{-2i eta}  ]] * e^{i phi}
+         [ -sqrt(1-rho) e^{-i(theta+eta)}, sqrt(rho) e^{-2i eta}  ]]
 
-    with rho in [0, 1], theta and eta in [0, pi] and a global phase phi
-    in [0, 2 pi) that plays no role in any entanglement measure.
+    with rho in [0, 1] and theta and eta in [0, pi].  A global phase
+    would change no probability or entropy, so there is none.
     """
 
     rho: float
     theta: float
     eta: float
-    phi: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
@@ -161,12 +162,10 @@ class CoinOperator:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.eta <= np.pi:
             raise ValueError(f"eta must lie in [0, pi], got {self.eta}")
-        if not 0.0 <= self.phi < _TWO_PI:
-            raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
     def matrix(self) -> np.ndarray:
         """Realize the coin as a 2x2 complex128 array."""
-        return coin_matrices(self.rho, self.theta, self.eta, self.phi)
+        return coin_matrices(self.rho, self.theta, self.eta)
 
     def unitarity_residual(self) -> float:
         """Max entrywise deviation of U U+ from the identity."""
@@ -203,33 +202,22 @@ class ShiftOperator:
     always be absorbed into a redefinition of the spin eigenstates) and
     beta is derived as sqrt(1 - alpha^2) e^{i beta_arg}, so (alpha, beta)
     and (-conj(beta), conj(alpha)) form an orthonormal pair by
-    construction.
-
-    beta_mod optionally pins |beta| directly.  It exists for the balanced
-    point alpha = |beta| = 1/sqrt 2, which is not reachable through the
-    sqrt derivation in binary floating point (sqrt(1 - alpha^2) lands one
-    ulp away from alpha); see `balanced_shift`.
+    construction.  At alpha = BALANCED_ALPHA, |beta| is exactly alpha
+    (see `shift_matrices`).
     """
 
     alpha: float
     beta_arg: float = 0.0
-    beta_mod: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta_arg < _TWO_PI:
             object.__setattr__(self, "beta_arg", float(np.mod(self.beta_arg, _TWO_PI)))
-        if self.beta_mod is not None:
-            err = abs(self.alpha * self.alpha + self.beta_mod * self.beta_mod - 1.0)
-            if err > UNITARITY_ATOL:
-                raise ValueError(
-                    f"beta_mod breaks alpha^2 + |beta|^2 = 1 by {err:.3e}"
-                )
 
     def matrix(self) -> np.ndarray:
         """The mix V as a 2x2 complex128 array."""
-        return shift_matrices(self.alpha, self.beta_arg, self.beta_mod)
+        return shift_matrices(self.alpha, self.beta_arg)
 
     @property
     def beta(self) -> complex:
@@ -243,7 +231,7 @@ def balanced_shift(beta_arg: float = 0.0) -> ShiftOperator:
     Both moduli are the same float, so walks that degenerate into a
     product-state chain at this point stay exactly degenerate.
     """
-    return ShiftOperator(alpha=BALANCED_ALPHA, beta_arg=beta_arg, beta_mod=BALANCED_ALPHA)
+    return ShiftOperator(alpha=BALANCED_ALPHA, beta_arg=beta_arg)
 
 
 def orthonormality_residual(alpha: complex, beta: complex) -> float:

@@ -3,8 +3,10 @@ and per-coin catalogs of maximal-entanglement events.
 
 Every point runs through the one walk engine in `core` (`walk_batch`
 with `collapse_metrics`), batched: a sweep, a catalog or a grid-search
-chunk evolves all its parameter tuples together, in chunks sized so
-memory stays bounded however many points there are.  Grid-search chunks
+chunk lays its points out as (rho, theta, eta, alpha, beta_arg) columns,
+builds U and V from them with `coin_matrices` and `shift_matrices`, and
+evolves them together, in chunks sized so memory stays bounded however
+many points there are.  Grid-search chunks
 can additionally be distributed over worker processes.  Chunk
 boundaries depend only on the grid, never on the worker count, so output
 order and content are identical for any parallelism.
@@ -19,9 +21,7 @@ import numpy as np
 from .core import (
     BALANCED_ALPHA,
     CoinOperator,
-    ShiftOperator,
     Spin,
-    balanced_shift,
     coin_matrices,
     collapse_metrics,
     hadamard_coin,
@@ -110,11 +110,8 @@ def grid_axis(name: str, step: float) -> np.ndarray:
         raise ValueError(f"grid step must be positive, got {step}")
     count = int(np.floor((hi - lo) / step + 1e-9))
     values = lo + step * np.arange(count + 1)
-    if closed and values[-1] < hi - 1e-12:
-        values = np.append(values, hi)
-    if not closed and values[-1] >= hi - 1e-12:
-        values = values[:-1]
-    return values
+    values = values[values < hi - 1e-12]  # rounding can overshoot hi
+    return np.append(values, hi) if closed else values
 
 
 @dataclass(frozen=True)
@@ -122,11 +119,10 @@ class SweepSpec:
     """One-dimensional sweep of a single coin or shift parameter.
 
     fixed supplies the non-swept parameters (rho/theta/eta for the
-    general coin, alpha/beta_arg for the shift; the special key beta_mod
-    pins |beta| explicitly, e.g. to hold the shift at the exact balanced
-    point while beta_arg sweeps).  include_balanced inserts the exact
-    balanced alpha into an alpha sweep, where the averaged entanglement
-    is discontinuous, when it lies inside [start, stop].
+    general coin, alpha/beta_arg for the shift; alpha defaults to the
+    balanced point and beta_arg to 0).  An alpha sweep always contains
+    the exact balanced alpha when it lies inside [start, stop], because
+    the averaged entanglement is discontinuous there.
     """
 
     coin_family: CoinFamily
@@ -138,7 +134,6 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
     outcomes: tuple[Spin, ...] = (Spin.DOWN, Spin.UP)
     mode: SweepMode = SweepMode.AVERAGED
-    include_balanced: bool = False
 
     def __post_init__(self):
         if self.swept not in PARAM_RANGES:
@@ -160,17 +155,13 @@ class SweepSpec:
         minimum = 2 if self.mode is SweepMode.AVERAGED else 1
         if self.n_steps < minimum:
             raise ValueError(f"n_steps must be at least {minimum}, got {self.n_steps}")
-        known = set(PARAM_RANGES) | {"beta_mod"}
         for key, value in self.fixed.items():
-            if key not in known:
+            if key not in PARAM_RANGES:
                 raise ValueError(f"unknown fixed parameter {key!r}")
-            if key in PARAM_RANGES:
-                lo, hi, closed = PARAM_RANGES[key]
-                inside = lo <= value <= hi if closed else lo <= value < hi
-                if not inside:
-                    raise ValueError(f"fixed {key}={value} outside its domain")
-        if self.include_balanced and self.swept != "alpha":
-            raise ValueError("include_balanced only applies to alpha sweeps")
+            lo, hi, closed = PARAM_RANGES[key]
+            inside = lo <= value <= hi if closed else lo <= value < hi
+            if not inside:
+                raise ValueError(f"fixed {key}={value} outside its domain")
 
     def values(self) -> np.ndarray:
         """Swept grid values in deterministic ascending order."""
@@ -182,29 +173,20 @@ class SweepSpec:
             values = np.append(values, self.stop)
         if not closed and values.size and values[-1] >= hi - 1e-12:
             values = values[:-1]
-        inside = self.start <= BALANCED_ALPHA <= self.stop
-        if self.include_balanced and inside and not np.any(values == BALANCED_ALPHA):
-            values = np.sort(np.append(values, BALANCED_ALPHA))
+        if self.swept == "alpha" and self.start <= BALANCED_ALPHA <= self.stop:
+            values = np.union1d(values, BALANCED_ALPHA)
         return values
 
 
-def _point_operators(spec: SweepSpec, value: float):
-    params = dict(spec.fixed)
-    params[spec.swept] = value
-    coin = family_coin(
-        spec.coin_family,
-        rho=params.get("rho"),
-        theta=params.get("theta"),
-        eta=params.get("eta"),
-    )
-    alpha = params.get("alpha", BALANCED_ALPHA)
-    beta_mod = params.get("beta_mod")
-    if spec.swept == "alpha" and value == BALANCED_ALPHA and spec.include_balanced:
-        beta_mod = BALANCED_ALPHA
-    shift = ShiftOperator(
-        alpha=alpha, beta_arg=params.get("beta_arg", 0.0), beta_mod=beta_mod
-    )
-    return coin, shift
+def _sweep_columns(spec: SweepSpec, values: np.ndarray) -> list[np.ndarray]:
+    """(rho, theta, eta, alpha, beta_arg) columns, one entry per swept value."""
+    params = {"alpha": BALANCED_ALPHA, "beta_arg": 0.0, **spec.fixed, spec.swept: values}
+    if spec.coin_family is not CoinFamily.GENERAL:
+        coin = family_coin(spec.coin_family)
+        params.update(rho=coin.rho, theta=coin.theta, eta=coin.eta)
+    elif not {"rho", "theta", "eta"} <= params.keys():
+        raise ValueError("the general coin family needs rho, theta and eta")
+    return [np.broadcast_to(params[name], values.shape) for name in PARAM_RANGES]
 
 
 def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
@@ -220,14 +202,14 @@ def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
         header = [spec.swept, "outcome", f"avg_E_{n}"]
     else:
         header = [spec.swept, "outcome", "step", "P", "N", "E_bits", "normalized_E"]
-    values = spec.values().tolist()
-    operators = [_point_operators(spec, value) for value in values]
+    grid = spec.values()
+    params = _sweep_columns(spec, grid)
+    values = grid.tolist()
     rows: list[tuple] = []
     chunk = _auto_chunk(n)
     for start in range(0, len(values), chunk):
-        part = operators[start : start + chunk]
-        u = np.stack([coin.matrix() for coin, _ in part])
-        v = np.stack([shift.matrix() for _, shift in part])
+        part = [column[start : start + chunk] for column in params]
+        u, v = coin_matrices(*part[:3]), shift_matrices(*part[3:])
         if spec.mode is SweepMode.AVERAGED:
             mean = _averaged(u, v, n)[0]
         else:
@@ -377,14 +359,12 @@ def grid_search(
     Hits stream in grid order (then step, then up before down).  The
     scan is chunked, so memory stays bounded for any grid size; pass
     workers > 1 to spread chunks over up to that many processes (no more
-    than there are chunks; a single chunk starts no process).
+    than there are chunks; a single chunk starts no process).  Arguments
+    are checked on the call, before the first hit is asked for.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    if not 0.0 < p_threshold < 1.0:
-        raise ValueError(f"p_threshold must lie in (0, 1), got {p_threshold}")
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
+    _check_search(n_steps, p_threshold)
     sizes = [grid_axis(name, grid_step).size for name in PARAM_RANGES]
     total = int(np.prod(sizes))
     chunk = chunk_size or _auto_chunk(n_steps)
@@ -394,11 +374,21 @@ def grid_search(
         for start in range(0, total, chunk)
     ]
 
-    processes = min(workers or 1, len(tasks))
+    return _stream_hits(tasks, min(workers or 1, len(tasks)))
+
+
+def _check_search(n_steps: int, p_threshold: float):
+    if not 0.0 < p_threshold < 1.0:
+        raise ValueError(f"p_threshold must lie in (0, 1), got {p_threshold}")
+    if n_steps < 2:
+        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
+
+
+def _stream_hits(tasks: list[tuple], processes: int) -> Iterator[MaxEntanglementHit]:
     if processes > 1:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(processes=processes) as pool:
+        with get_context().Pool(processes=processes) as pool:
             for rows in pool.imap(_search_chunk, tasks):
                 yield from map(_hit, rows)
     else:
@@ -425,26 +415,25 @@ def find_max_cases(
     """
     if coin_family is CoinFamily.GENERAL:
         raise ValueError("find_max_cases catalogs a named coin; use grid_search")
+    _check_search(n_max, p_threshold)
     coin = family_coin(coin_family)
     if alpha_values is None:
-        alpha_values = np.append(grid_axis("alpha", 0.1), BALANCED_ALPHA)
-        alpha_values = np.unique(alpha_values)
+        alpha_values = np.union1d(grid_axis("alpha", 0.1), BALANCED_ALPHA)
     if beta_arg_values is None:
         quarter = float(np.pi / 2)
         extra = [quarter, 2 * quarter, 3 * quarter]
-        beta_arg_values = np.unique(np.append(grid_axis("beta_arg", 0.1), extra))
-    points = [(float(a), float(b)) for a in alpha_values for b in beta_arg_values]
+        beta_arg_values = np.union1d(grid_axis("beta_arg", 0.1), extra)
+    grids = np.meshgrid(alpha_values, beta_arg_values, indexing="ij")
+    alpha, beta_arg = (grid.ravel().astype(np.float64) for grid in grids)
+    if np.any((alpha < 0.0) | (alpha > 1.0)):
+        raise ValueError("alpha values must lie in [0, 1]")
+    coin_params = [np.broadcast_to(x, alpha.shape) for x in (coin.rho, coin.theta, coin.eta)]
+    points = [*coin_params, alpha, beta_arg]
     hits = []
     chunk = _auto_chunk(n_max)
-    for start in range(0, len(points), chunk):
-        part = points[start : start + chunk]
-        v = np.stack([
-            (balanced_shift(b) if a == BALANCED_ALPHA else ShiftOperator(a, b)).matrix()
-            for a, b in part
-        ])
-        u = np.broadcast_to(coin.matrix(), v.shape)
-        coin_params = [np.full(len(part), x) for x in (coin.rho, coin.theta, coin.eta)]
-        params = coin_params + list(np.array(part).T)
+    for start in range(0, alpha.size, chunk):
+        params = [column[start : start + chunk] for column in points]
+        u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
         columns = _isolated_hits(u, v, n_max, p_threshold, maximal_atol)
         hits.extend(map(_hit, _hit_rows(params, *columns)))
     hits.sort(key=lambda h: (h.alpha, h.beta_arg, h.step, h.outcome.row))

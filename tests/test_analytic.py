@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from tandemwalk import (
     CoinOperator,
@@ -52,11 +51,6 @@ class TestPhi1:
         up, down = phi1(coin, shift)
         assert abs(state.amplitude(Spin.UP, 1) - up) < 1e-12
         assert abs(state.amplitude(Spin.DOWN, -1) - down) < 1e-12
-
-    def test_rejects_global_phase(self):
-        coin = CoinOperator(rho=0.5, theta=0.5, eta=0.5, phi=0.3)
-        with pytest.raises(ValueError, match="phase"):
-            phi1(coin, ShiftOperator(alpha=0.5))
 
 
 class TestStep2States:

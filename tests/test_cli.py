@@ -200,6 +200,20 @@ class TestSweep:
         _, rows = parse_csv(out)
         assert {r[0] for r in rows} == {"0.3"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sweep", "alpha", "--start", "0.3", "--stop", "0.3"],
+            ["--figure", "fig1"],
+            ["--figure", "fig2"],
+        ],
+    )
+    def test_zero_steps_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "sweep", *argv, "--steps", "0")
+        assert code == 2
+        assert out == ""
+        assert "n_steps" in err
+
     def test_missing_mode_rejected(self, capsys):
         code, _, err = run(capsys, "sweep")
         assert code == 2
@@ -290,6 +304,20 @@ class TestSearch:
         code, out, err = run(capsys, *args)
         assert code == 2
         assert "QRW_WORKERS" in err and "positive" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--coin", "general", "--grid", "0.5", "--steps", "1"],
+            ["--coin", "hadamard", "--steps", "1", "--p-min", "5"],
+        ],
+    )
+    def test_bad_arguments_write_nothing(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "hits.csv"
+        code, _, err = run(capsys, "search", *argv, "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out_path.exists()
 
     def test_worker_count_keeps_bytes_identical(self, capsys):
         args = ["search", "--mode", "isolated", "--coin", "general", "--grid", "0.5",

@@ -19,6 +19,7 @@ from tandemwalk import (
     verify_shift_unitarity,
     z_coin,
 )
+from tandemwalk.core import shift_matrices
 
 QUARTER = np.pi / 2
 
@@ -117,11 +118,6 @@ class TestCoins:
             coin, _ = random_operators(rng)
             assert coin.unitarity_residual() < 1e-12
 
-    def test_global_phase_applied(self):
-        base = CoinOperator(rho=0.4, theta=0.5, eta=0.6)
-        phased = CoinOperator(rho=0.4, theta=0.5, eta=0.6, phi=1.2)
-        assert np.allclose(phased.matrix(), base.matrix() * np.exp(1.2j), atol=1e-15)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -130,7 +126,6 @@ class TestCoins:
             {"rho": 0.5, "theta": -0.2, "eta": 0.0},
             {"rho": 0.5, "theta": 4.0, "eta": 0.0},
             {"rho": 0.5, "theta": 0.0, "eta": 3.2},
-            {"rho": 0.5, "theta": 0.0, "eta": 0.0, "phi": 6.5},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):
@@ -153,9 +148,17 @@ class TestShift:
         assert s.alpha == BALANCED_ALPHA
         assert s.beta == BALANCED_ALPHA  # identical floats, real phase
 
-    def test_bad_beta_mod_rejected(self):
-        with pytest.raises(ValueError, match="beta_mod"):
-            ShiftOperator(alpha=0.6, beta_mod=0.9)
+    def test_balanced_alpha_gives_exactly_balanced_beta(self):
+        assert ShiftOperator(alpha=BALANCED_ALPHA).beta == BALANCED_ALPHA
+        turned = ShiftOperator(alpha=BALANCED_ALPHA, beta_arg=3 * QUARTER)
+        assert turned.beta == -1j * BALANCED_ALPHA
+
+    def test_shift_matrices_pin_only_the_balanced_entry(self):
+        alphas = np.array([0.6, BALANCED_ALPHA, np.nextafter(BALANCED_ALPHA, 1.0)])
+        moduli = np.abs(shift_matrices(alphas, 0.0)[:, 0, 1])
+        derived = np.sqrt((1.0 - alphas) * (1.0 + alphas))
+        assert moduli[1] == BALANCED_ALPHA != derived[1]
+        assert np.array_equal(moduli[[0, 2]], derived[[0, 2]])
 
     def test_unitarity_trivial_point(self):
         ok, residual = verify_shift_unitarity(ShiftOperator(alpha=1.0, beta_arg=2.5))

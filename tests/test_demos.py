@@ -1,0 +1,25 @@
+"""Smoke test: each demo script runs to completion.
+
+isolated_maxima.py is left out: it takes about 20 s, and the grid_search
+and find_max_cases calls it makes are covered in test_sweep.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["walk_anatomy.py", "averaged_vs_alpha.py", "single_walk_series.py", "phase_structure.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -49,6 +49,13 @@ class TestGridAxis:
         with pytest.raises(ValueError, match="unknown"):
             grid_axis("gamma", 0.1)
 
+    def test_rounding_never_overshoots_the_range(self):
+        # three steps of this size end 3.3e-11 above 1, where sqrt(1 - rho) is NaN
+        rho = grid_axis("rho", 0.3333333333444444)
+        assert rho[-1] == 1.0
+        assert np.all(np.diff(rho) > 0)
+        assert np.all(np.isfinite(coin_matrices(rho, 0.0, 0.0)))
+
 
 class TestSweepSpec:
     def test_rejects_out_of_domain_range(self):
@@ -67,7 +74,7 @@ class TestSweepSpec:
 
     def test_values_include_balanced_point(self):
         spec = SweepSpec(
-            CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 0.25, 10, include_balanced=True
+            CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 0.25, 10
         )
         values = spec.values()
         assert BALANCED_ALPHA in values
@@ -76,11 +83,11 @@ class TestSweepSpec:
 
     def test_balanced_point_only_inserted_inside_the_range(self):
         outside = SweepSpec(
-            CoinFamily.HADAMARD, "alpha", 0.3, 0.3, 0.005, 10, include_balanced=True
+            CoinFamily.HADAMARD, "alpha", 0.3, 0.3, 0.005, 10
         )
         assert list(outside.values()) == [0.3]
         above = SweepSpec(
-            CoinFamily.HADAMARD, "alpha", 0.8, 1.0, 0.1, 10, include_balanced=True
+            CoinFamily.HADAMARD, "alpha", 0.8, 1.0, 0.1, 10
         )
         assert BALANCED_ALPHA not in above.values()
 
@@ -99,7 +106,6 @@ class TestSweep1d:
             0.1,
             30,
             fixed={"beta_arg": 0.0},
-            include_balanced=True,
         )
         header, rows = sweep_1d(spec)
         assert header == ["alpha", "outcome", "avg_E_30"]
@@ -116,13 +122,32 @@ class TestSweep1d:
             0.02,
             40,
             fixed={"beta_arg": 0.0},
-            include_balanced=True,
         )
         _, rows = sweep_1d(spec)
         balanced_rows = [r for r in rows if r[0] == BALANCED_ALPHA]
         assert balanced_rows and all(r[2] == 0.0 for r in balanced_rows)
         others = [r for r in rows if r[0] != BALANCED_ALPHA and r[1] == "down"]
         assert all(r[2] > 0.9 for r in others)
+
+    def test_alpha_sweep_contains_exact_balanced_point(self):
+        spec = SweepSpec(
+            CoinFamily.HADAMARD, "alpha", 0.5, 1.0, 0.25, 8, mode=SweepMode.PER_STEP
+        )
+        _, rows = sweep_1d(spec)
+        balanced = [r for r in rows if r[0] == BALANCED_ALPHA]
+        assert len(balanced) == 2 * 8
+        for _, outcome, _, p, n_terms, e_bits, cal in balanced:
+            assert e_bits == 0.0 and cal == 0.0  # a product-state chain
+            assert n_terms == (0 if outcome == "down" else 1)
+            if outcome == "down":
+                assert p == 0.0
+
+    def test_general_coin_needs_every_coin_parameter(self):
+        spec = SweepSpec(
+            CoinFamily.GENERAL, "alpha", 0.0, 1.0, 0.5, 4, fixed={"rho": 0.5, "eta": 0.2}
+        )
+        with pytest.raises(ValueError, match="rho, theta and eta"):
+            sweep_1d(spec)
 
     def test_per_step_rows(self):
         spec = SweepSpec(
@@ -273,7 +298,7 @@ class TestGridSearch:
         class FakeContext:
             Pool = FakePool
 
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: FakeContext())
         serial = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=1))
         # 7488 grid points in chunks of 2000 make four tasks
         capped = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=64, chunk_size=2000))
@@ -292,6 +317,19 @@ class TestGridSearch:
     def test_thresholds_validated(self):
         with pytest.raises(ValueError, match="p_threshold"):
             list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, p_threshold=0.0))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_steps": 1}, "n_steps"),
+            ({"p_threshold": 5.0}, "p_threshold"),
+            ({"workers": 0}, "workers"),
+        ],
+    )
+    def test_arguments_checked_on_call(self, kwargs, message):
+        args = {"grid_step": 0.5, "n_steps": 5, "mode": SearchMode.ISOLATED_MAX, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            grid_search(**args)  # no hit requested
 
 
 class TestFindMaxCases:
@@ -344,6 +382,19 @@ class TestFindMaxCases:
             beta_arg_values=[np.pi / 2],
         )
         assert {h.step for h in hits} <= {2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_max": 1}, "n_steps"),
+            ({"p_threshold": 5.0}, "p_threshold"),
+            ({"alpha_values": [0.5, 1.5]}, "alpha"),
+        ],
+    )
+    def test_arguments_checked(self, kwargs, message):
+        args = {"n_max": 4, "p_threshold": 0.15, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            find_max_cases(CoinFamily.HADAMARD, **args)
 
     def test_general_family_rejected(self):
         with pytest.raises(ValueError, match="grid_search"):
