@@ -405,8 +405,8 @@ def cmd_search(args) -> int:
 # verify
 
 
-def _suite_unitarity(samples: int, rng) -> list[str]:
-    failures = []
+def _suite_unitarity(samples: int, rng) -> tuple[list[str], float]:
+    failures, worst = [], 0.0
     coins = [family_coin(f) for f in (CoinFamily.HADAMARD, CoinFamily.KEMPE, CoinFamily.Z)]
     for _ in range(samples):
         coins.append(
@@ -418,22 +418,24 @@ def _suite_unitarity(samples: int, rng) -> list[str]:
         )
     for coin in coins:
         residual = coin.unitarity_residual()
+        worst = max(worst, residual)
         if residual >= UNITARITY_ATOL:
             failures.append(f"coin {coin} residual {residual:.3e}")
     for _ in range(samples):
         shift = ShiftOperator(alpha=rng.uniform(0, 1), beta_arg=rng.uniform(0, 2 * np.pi))
         ok, residual = verify_shift_unitarity(shift)
+        worst = max(worst, residual)
         if not ok:
             failures.append(f"shift {shift} residual {residual:.3e}")
     # negative control: a corrupted coefficient pair must be detected
     bad = orthonormality_residual(0.6 + 0j, complex(0.8 + 1e-3, 0.0))
     if bad < UNITARITY_ATOL:
         failures.append("corrupted coefficient pair passed the unitarity check")
-    return failures
+    return failures, worst
 
 
-def _suite_oracle(samples: int, rng) -> list[str]:
-    failures = []
+def _suite_oracle(samples: int, rng) -> tuple[list[str], float]:
+    failures, worst_all = [], 0.0
     for _ in range(samples):
         coin = CoinOperator(
             rho=rng.uniform(0, 1), theta=rng.uniform(0, np.pi), eta=rng.uniform(0, np.pi)
@@ -456,13 +458,19 @@ def _suite_oracle(samples: int, rng) -> list[str]:
                 pivot = int(np.argmax(np.abs(expect)))
                 got = got * (expect[pivot] / got[pivot] / abs(expect[pivot] / got[pivot]))
                 worst = max(worst, float(np.max(np.abs(got - expect))))
+        worst_all = max(worst_all, worst)
         if worst > 1e-12:
             failures.append(f"closed-form mismatch {worst:.3e} at {coin} {shift}")
-    return failures
+    return failures, worst_all
 
 
-def _suite_special_points(n_steps: int = 500) -> list[str]:
-    failures = []
+def _suite_special_points(n_steps: int = 500) -> tuple[list[str], float]:
+    """Chains and the bounce; the residual is the largest deviation of a
+    chain amplitude's modulus from 1, of a chain's down probability from
+    0, or of a bounce amplitude beside the one that carries the state
+    from 0 (the modulus a spurious term would have).
+    """
+    failures, worst = [], 0.0
     chains = [
         ("hadamard, real balanced shift", family_coin(CoinFamily.HADAMARD), balanced_shift(0.0)),
         ("kempe, beta phase 3pi/2", family_coin(CoinFamily.KEMPE), balanced_shift(3 * _QUARTER)),
@@ -470,10 +478,13 @@ def _suite_special_points(n_steps: int = 500) -> list[str]:
     for label, coin, shift in chains:
         for state in iter_steps(coin, shift, n_steps):
             n = state.step
-            if abs(abs(state.amplitude(Spin.UP, n)) - 1.0) > 1e-10:
+            drift = abs(abs(state.amplitude(Spin.UP, n)) - 1.0)
+            leak = measure_spin(state, Spin.DOWN).probability
+            worst = max(worst, drift, leak)
+            if drift > 1e-10:
                 failures.append(f"{label}: chain broken at step {n}")
                 break
-            if measure_spin(state, Spin.DOWN).probability != 0.0:
+            if leak != 0.0:
                 failures.append(f"{label}: down leakage at step {n}")
                 break
     # kempe with beta phase pi/2 degenerates to a two-site bounce; every
@@ -482,10 +493,13 @@ def _suite_special_points(n_steps: int = 500) -> list[str]:
     for state in iter_steps(coin, balanced_shift(_QUARTER), n_steps):
         up = measure_spin(state, Spin.UP)
         down = measure_spin(state, Spin.DOWN)
+        for result in (up, down):
+            if result.amps.size > 1:
+                worst = max(worst, float(np.sort(np.abs(result.amps))[-2]))
         if up.term_count > 1 or down.term_count > 1:
             failures.append(f"kempe, beta phase pi/2: entangled terms at step {state.step}")
             break
-    return failures
+    return failures, worst
 
 
 def cmd_verify(args) -> int:
@@ -498,9 +512,9 @@ def cmd_verify(args) -> int:
     selected = suites if args.suite == "all" else {args.suite: suites[args.suite]}
     failed = False
     for name, run in selected.items():
-        failures = run()
+        failures, worst = run()
         status = "pass" if not failures else "FAIL"
-        print(f"{name}: {status}")
+        print(f"{name}: {status} (worst {worst:.1e})")
         for line in failures[:10]:
             print(f"  {line}", file=sys.stderr)
         failed = failed or bool(failures)

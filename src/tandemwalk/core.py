@@ -20,7 +20,7 @@ term count and the entropies, for one walk or a batch alike.
 import numpy as np
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Generator, Iterator, NamedTuple
 
 __all__ = [
     "TERM_THRESHOLD",
@@ -340,13 +340,22 @@ def _advance(amps: np.ndarray, n: int, u, v):
         amps[0, :, 0] = 0.0
 
 
-def walk_batch(u: np.ndarray, v: np.ndarray, n_steps: int) -> Iterator[tuple[int, np.ndarray]]:
+def walk_batch(
+    u: np.ndarray, v: np.ndarray, n_steps: int
+) -> Generator[tuple[int, np.ndarray], np.ndarray | None, None]:
     """Evolve a batch of walks from |up> (x) |0,0>, the one evolution engine.
 
     u and v are (B, 2, 2) stacks of coin and shift matrices.  Yields
     (n, amps) after each of steps 1..n_steps, where amps is a
     (2, B, n + 1) view: row `Spin.row`, walk, then k = number of up
     moves.  The view is overwritten by the next step; copy what you keep.
+
+    A consumer can drop walks between steps: `send` a (B,) boolean mask
+    of the walks to keep instead of calling `next`, and the later steps
+    evolve only those, in their order, so B shrinks to the mask's count.
+    A plain `for` loop sends None and keeps every walk.  Every walk's
+    arithmetic is elementwise across the batch, so dropping some walks
+    leaves every value of the others unchanged to the bit.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
@@ -355,7 +364,13 @@ def walk_batch(u: np.ndarray, v: np.ndarray, n_steps: int) -> Iterator[tuple[int
     cu, cv = _entries(u), _entries(v)
     for n in range(n_steps):
         _advance(amps, n, cu, cv)
-        yield n + 1, amps[:, :, : n + 2]
+        keep = yield n + 1, amps[:, :, : n + 2]
+        if keep is not None:
+            u, v = u[keep], v[keep]
+            cu, cv = _entries(u), _entries(v)
+            kept = np.zeros((2, u.shape[0], n_steps + 1), dtype=np.complex128)
+            kept[:, :, : n + 2] = amps[:, keep, : n + 2]  # slots past n + 1 stay zero
+            amps = kept
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:

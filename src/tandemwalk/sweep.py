@@ -6,7 +6,8 @@ with `collapse_metrics`), batched: a sweep, a catalog or a grid-search
 chunk lays its points out as (rho, theta, eta, alpha, beta_arg) columns,
 builds U and V from them with `coin_matrices` and `shift_matrices`, and
 evolves them together, in chunks sized so memory stays bounded however
-many points there are.  Grid-search chunks
+many points there are.  The averaged grid search drops, between
+steps, the walks that can no longer become hits.  Grid-search chunks
 can additionally be distributed over worker processes.  Chunk
 boundaries depend only on the grid, never on the worker count, so output
 order and content are identical for any parallelism.
@@ -211,7 +212,7 @@ def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
         part = [column[start : start + chunk] for column in params]
         u, v = coin_matrices(*part[:3]), shift_matrices(*part[3:])
         if spec.mode is SweepMode.AVERAGED:
-            mean = _averaged(u, v, n)[0]
+            mean = _averaged(u, v, n)[1]
         else:
             steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n)]
             columns = [np.stack(column) for column in zip(*steps)]  # each (n, 2, B)
@@ -257,19 +258,43 @@ def _auto_chunk(n_steps: int) -> int:
     return max(4096, (1 << 21) // (n_steps + 1))
 
 
-def _averaged(u, v, n_steps):
+def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
     """Mean normalized E over steps 2..n_steps (n_steps >= 2), the least P
-    over those steps and the last step's N, each (2, B) by `Spin.row`.
+    over those steps and the last step's N of the walks that can still
+    have a mean above avg_threshold with every P above p_threshold.
+
+    Returns (walks, mean, min_p, last_n): the indices of those walks in
+    the batch, ascending, then one (2, len(walks)) array each by
+    `Spin.row`.  From step 2 on, a (walk, spin) row is dead once its
+    least P is at most p_threshold, or once its mean could not exceed
+    avg_threshold even if every remaining step reached the cap 1 of
+    `normalized_ratio`.  A walk whose rows are both dead leaves the
+    batch, so the later steps only pay for the others; their numbers
+    are the same as in a batch that dropped nothing.  The defaults drop
+    no walk.
     """
-    total, min_p = np.zeros((2, u.shape[0])), np.ones((2, u.shape[0]))
-    for a, amps in walk_batch(u, v, n_steps):
+    walks = np.arange(u.shape[0])
+    total, min_p = np.zeros((2, walks.size)), np.ones((2, walks.size))
+    # the slack keeps summation rounding from dropping a mean just above avg_threshold
+    floor = avg_threshold * (n_steps - 1) - 1e-9
+    steps, keep = walk_batch(u, v, n_steps), None
+    for a in range(1, n_steps + 1):
+        _, amps = steps.send(keep)
+        keep = None
         if a < 2:  # one step leaves one term and is left out of the average
             continue
         metrics = collapse_metrics(amps)
         total += metrics.normalized
         np.minimum(min_p, metrics.probability, out=min_p)
         last_n = metrics.term_count
-    return total / (n_steps - 1), min_p, last_n
+        live = ((min_p > p_threshold) & (total + (n_steps - a) > floor)).any(axis=0)
+        if not live.all():
+            keep = live
+            walks, total, min_p = walks[keep], total[:, keep], min_p[:, keep]
+            last_n = last_n[:, keep]
+            if not walks.size:
+                break
+    return walks, total / (n_steps - 1), min_p, last_n
 
 
 def _isolated_hits(u, v, n_steps, p_threshold, maximal_atol):
@@ -317,11 +342,11 @@ def _search_chunk(task):
             u, v, n_steps, p_threshold, maximal_atol
         )
     else:
-        mean, min_p, last_n = _averaged(u, v, n_steps)
+        alive, mean, min_p, last_n = _averaged(u, v, n_steps, p_threshold, avg_threshold)
         hit = (mean > avg_threshold) & (min_p > p_threshold)
-        walks, rows = np.nonzero(hit.T)
-        steps = np.full(walks.size, n_steps)
-        cal, prob, n_terms = mean[rows, walks], min_p[rows, walks], last_n[rows, walks]
+        cols, rows = np.nonzero(hit.T)
+        walks, steps = alive[cols], np.full(cols.size, n_steps)
+        cal, prob, n_terms = mean[rows, cols], min_p[rows, cols], last_n[rows, cols]
     return _hit_rows(params, walks, steps, rows, cal, prob, n_terms)
 
 
@@ -354,7 +379,11 @@ def grid_search(
     p_threshold.  AVERAGED_HIGH reports points whose average over steps
     2..n_steps exceeds avg_threshold while every per-step probability
     stays above p_threshold; its hits carry the average in `normalized`
-    and the worst per-step probability in `probability`.
+    and the worst per-step probability in `probability`, and it needs
+    0 <= avg_threshold < 1.  A walk drops out of its chunk mid-walk once
+    neither outcome can become a hit any more (see `_averaged`); each
+    walk's arithmetic does not depend on which others share its batch,
+    so the hits are the same, to the bit, as those of a full run.
 
     Hits stream in grid order (then step, then up before down).  The
     scan is chunked, so memory stays bounded for any grid size; pass
@@ -365,6 +394,9 @@ def grid_search(
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     _check_search(n_steps, p_threshold)
+    if mode is SearchMode.AVERAGED_HIGH and not 0.0 <= avg_threshold < 1.0:
+        # normalized E is capped at 1, so no mean can exceed a threshold of 1 or more
+        raise ValueError(f"avg_threshold must lie in [0, 1), got {avg_threshold}")
     sizes = [grid_axis(name, grid_step).size for name in PARAM_RANGES]
     total = int(np.prod(sizes))
     chunk = chunk_size or _auto_chunk(n_steps)

@@ -319,6 +319,17 @@ class TestSearch:
         assert err.startswith("error:")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("avg_min", ["5", "1", "-0.5"])
+    def test_averaged_threshold_out_of_range_writes_nothing(self, capsys, tmp_path, avg_min):
+        out_path = tmp_path / "hits.csv"
+        code, _, err = run(
+            capsys, "search", "--mode", "averaged", "--grid", "0.9", "--steps", "4",
+            "--avg-min", avg_min, "--out", str(out_path),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "avg_threshold" in err
+        assert not out_path.exists()
+
     def test_worker_count_keeps_bytes_identical(self, capsys):
         args = ["search", "--mode", "isolated", "--coin", "general", "--grid", "0.5",
                 "--steps", "5"]
@@ -338,6 +349,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "oracle", "--samples", "25")
         assert code == 0
         assert "oracle: pass" in out
+
+    def test_prints_worst_residual_per_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--samples", "20")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["unitarity", "oracle", "special-points"]
+        for line in lines:
+            worst = float(line.split("(worst ")[1].rstrip(")"))
+            assert 0.0 <= worst < 1e-12
 
 
 class TestConfigAndEnv:

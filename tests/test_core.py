@@ -19,7 +19,7 @@ from tandemwalk import (
     verify_shift_unitarity,
     z_coin,
 )
-from tandemwalk.core import shift_matrices
+from tandemwalk.core import coin_matrices, collapse_metrics, shift_matrices, walk_batch
 
 QUARTER = np.pi / 2
 
@@ -303,3 +303,24 @@ class TestLongWalks:
         for coin, shift in cases:
             state = evolve(coin, shift, 1000)
             assert abs(state.norm() - 1.0) < 1e-10
+
+
+class TestConjugationSymmetry:
+    def test_mirrored_walks_have_the_same_series(self):
+        """Complex conjugation maps U(rho, theta, eta) to U(rho, pi - theta, pi - eta)
+        and beta's phase b to 2 pi - b, so the mirrored walk is the conjugate
+        walk and every P, N, E and normalized E matches at every step."""
+        rng = np.random.default_rng(31)
+        rho, alpha = rng.uniform(0, 1, 20), rng.uniform(0, 1, 20)
+        theta, eta = rng.uniform(0, np.pi, 20), rng.uniform(0, np.pi, 20)
+        beta_arg = rng.uniform(0, 2 * np.pi, 20)
+        mirror_arg = np.mod(2 * np.pi - beta_arg, 2 * np.pi)
+        u = coin_matrices(np.tile(rho, 2), np.r_[theta, np.pi - theta], np.r_[eta, np.pi - eta])
+        v = shift_matrices(np.tile(alpha, 2), np.r_[beta_arg, mirror_arg])
+        assert np.allclose(u[20:], u[:20].conj(), atol=1e-15)
+        assert np.allclose(v[20:], v[:20].conj(), atol=1e-15)
+        for _, amps in walk_batch(u, v, 200):
+            metrics = collapse_metrics(amps)
+            assert np.array_equal(metrics.term_count[:, :20], metrics.term_count[:, 20:])
+            for values in (metrics.probability, metrics.entropy, metrics.normalized):
+                assert np.max(np.abs(values[:, :20] - values[:, 20:])) < 1e-12

@@ -16,7 +16,7 @@ from tandemwalk import (
     normalized_entanglement,
     sweep_1d,
 )
-from tandemwalk.sweep import family_coin
+from tandemwalk.sweep import PARAM_RANGES, MaxEntanglementHit, _averaged, family_coin
 from tandemwalk.core import (
     CoinOperator,
     ShiftOperator,
@@ -330,6 +330,77 @@ class TestGridSearch:
         args = {"grid_step": 0.5, "n_steps": 5, "mode": SearchMode.ISOLATED_MAX, **kwargs}
         with pytest.raises(ValueError, match=message):
             grid_search(**args)  # no hit requested
+
+    @pytest.mark.parametrize("avg_threshold", [1.0, 5.0, -0.1, float("nan")])
+    def test_averaged_threshold_range_checked_on_call(self, avg_threshold):
+        with pytest.raises(ValueError, match="avg_threshold"):
+            grid_search(0.9, 4, SearchMode.AVERAGED_HIGH, avg_threshold=avg_threshold)
+        # isolated mode has no average to bound
+        grid_search(0.9, 4, SearchMode.ISOLATED_MAX, avg_threshold=avg_threshold)
+
+
+class TestAveragedPruning:
+    """Dropping walks mid-walk must leave the averaged hit list unchanged."""
+
+    GRID, STEPS = 0.6, 60
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Grid points and their unpruned (mean, min P, last N), one batch."""
+        axes = [grid_axis(name, self.GRID) for name in PARAM_RANGES]
+        points = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
+        u, v = coin_matrices(*points[:3]), shift_matrices(*points[3:])
+        walks, mean, min_p, last_n = _averaged(u, v, self.STEPS)
+        assert walks.tolist() == list(range(u.shape[0]))
+        return points, mean, min_p, last_n
+
+    def _expected(self, reference, p_threshold, avg_threshold):
+        points, mean, min_p, last_n = reference
+        hit = (mean > avg_threshold) & (min_p > p_threshold)
+        return [
+            MaxEntanglementHit(
+                *(float(p[j]) for p in points), self.STEPS, Spin.UP if r == 0 else Spin.DOWN,
+                float(mean[r, j]), float(min_p[r, j]), int(last_n[r, j]),
+            )
+            for j, r in zip(*np.nonzero(hit.T))
+        ]
+
+    def test_hits_equal_an_unpruned_run_at_the_edge_thresholds(self, reference):
+        base = self._expected(reference, 0.15, 0.75)
+        assert len(base) > 100
+        means = [h.normalized for h in base]
+        probs = [h.probability for h in base]
+        thresholds = [
+            (0.15, min(means) - 1e-15),
+            (0.15, float(np.median(means))),
+            (min(probs) - 1e-15, 0.75),
+            (float(np.median(probs)), 0.75),
+        ]
+        for p_threshold, avg_threshold in thresholds:
+            expected = self._expected(reference, p_threshold, avg_threshold)
+            assert expected
+            for chunk_size in (None, 997):
+                for workers in (1, 2):
+                    hits = list(grid_search(
+                        self.GRID, self.STEPS, SearchMode.AVERAGED_HIGH,
+                        p_threshold=p_threshold, avg_threshold=avg_threshold,
+                        workers=workers, chunk_size=chunk_size,
+                    ))
+                    assert hits == expected, (p_threshold, avg_threshold, chunk_size, workers)
+
+    def test_walks_leave_the_batch(self, reference):
+        points, full, full_min_p, _ = reference
+        u, v = coin_matrices(*points[:3]), shift_matrices(*points[3:])
+        walks, mean, _, _ = _averaged(u, v, self.STEPS, 0.15, 0.999)
+        assert walks.size == 0 and mean.shape == (2, 0)  # no point averages 0.999
+        walks, mean, min_p, _ = _averaged(u, v, self.STEPS, 0.15, 0.75)
+        assert 0 < walks.size < u.shape[0] // 2
+        assert np.all(np.diff(walks) > 0)
+        # no walk dropped had a row able to pass the hit rule
+        dropped = np.setdiff1d(np.arange(u.shape[0]), walks)
+        assert not np.any((full[:, dropped] > 0.75) & (full_min_p[:, dropped] > 0.15))
+        assert np.array_equal(full[:, walks], mean)
+        assert np.array_equal(full_min_p[:, walks], min_p)
 
 
 class TestFindMaxCases:
