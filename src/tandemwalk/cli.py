@@ -222,7 +222,7 @@ def _operator_meta(args) -> dict:
 def cmd_evolve(args) -> int:
     coin, shift = _build_operators(args)
     outcomes = _parse_outcomes(args.outcome)
-    records = _series(coin, shift, args.steps, outcomes, args.term_threshold)
+    records = _series(coin, shift, args.steps, outcomes)
     rows = []
     for outcome in outcomes:
         for r in records[outcome]:
@@ -231,7 +231,7 @@ def cmd_evolve(args) -> int:
             )
     rows.sort(key=lambda row: (row[0], row[1].value))
     meta = {"command": "evolve", **_operator_meta(args)}
-    meta.update(steps=args.steps, outcome=args.outcome, term_threshold=args.term_threshold)
+    meta.update(steps=args.steps, outcome=args.outcome, term_threshold=TERM_THRESHOLD)
     _write_csv(args.out, meta, ["step", "outcome", "P", "N", "E_bits", "normalized_E"], rows)
     return 0
 
@@ -364,12 +364,10 @@ def cmd_search(args) -> int:
     meta = {"command": "search", "mode": args.mode, "coin": args.coin}
     if family is CoinFamily.GENERAL:  # the named-coin catalogs use their own grid
         meta["grid"] = args.grid
-    meta.update({
-        "steps": args.steps,
-        "p_min": args.p_min,
-        "maximal_atol": args.maximal_atol,
-        "term_threshold": TERM_THRESHOLD,
-    })
+    meta.update(steps=args.steps, p_min=args.p_min)
+    if mode is SearchMode.ISOLATED_MAX:  # averaged hits never test maximality
+        meta["maximal_atol"] = args.maximal_atol
+    meta["term_threshold"] = TERM_THRESHOLD
     if mode is SearchMode.AVERAGED_HIGH:
         meta["avg_min"] = args.avg_min
 
@@ -386,17 +384,11 @@ def cmd_search(args) -> int:
     else:
         if mode is not SearchMode.ISOLATED_MAX:
             raise ValueError("averaged search scans the general coin only")
-        hits = iter(
-            find_max_cases(
-                family,
-                n_max=args.steps,
-                p_threshold=args.p_min,
-                maximal_atol=args.maximal_atol,
-            )
+        hits = find_max_cases(
+            family, n_max=args.steps, p_threshold=args.p_min, maximal_atol=args.maximal_atol
         )
 
-    rows = (vars(hit).values() for hit in hits)  # fields in header order
-    count = _write_csv(args.out, meta, header, rows)
+    count = _write_csv(args.out, meta, header, hits)  # hit fields are the columns
     print(f"{count} hits", file=sys.stderr)
     return 0
 
@@ -538,12 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operator_args(p_evolve)
     p_evolve.add_argument("--steps", type=int, default=200)
     p_evolve.add_argument("--outcome", choices=["up", "down", "both"], default="both")
-    p_evolve.add_argument(
-        "--term-threshold",
-        type=float,
-        default=TERM_THRESHOLD,
-        help="modulus cutoff for counting collapsed terms",
-    )
     p_evolve.set_defaults(func=cmd_evolve)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter, emit a table")

@@ -412,7 +412,7 @@ class CollapseMetrics(NamedTuple):
     normalized: np.ndarray
 
 
-def _collapse(amps: np.ndarray, threshold: float):
+def _collapse(amps: np.ndarray):
     """(P, normalized amplitudes, their moduli, N) over the last axis.
 
     Rows of probability zero normalize to zeros and count no terms.
@@ -421,7 +421,7 @@ def _collapse(amps: np.ndarray, threshold: float):
     probability = weights.sum(axis=-1)
     collapsed = amps / np.sqrt(np.where(probability > 0.0, probability, 1.0))[..., None]
     moduli = np.abs(collapsed)
-    return probability, collapsed, moduli, np.count_nonzero(moduli > threshold, axis=-1)
+    return probability, collapsed, moduli, np.count_nonzero(moduli > TERM_THRESHOLD, axis=-1)
 
 
 def normalized_ratio(e_bits, n_terms):
@@ -436,7 +436,7 @@ def normalized_ratio(e_bits, n_terms):
     return np.where(n_terms >= 2, ratio, 0.0)
 
 
-def collapse_metrics(amps: np.ndarray, threshold: float = TERM_THRESHOLD) -> CollapseMetrics:
+def collapse_metrics(amps: np.ndarray) -> CollapseMetrics:
     """P, N, E and normalized E of collapsing onto each row of `amps`.
 
     The last axis holds position amplitudes, unnormalized: the squared
@@ -444,7 +444,7 @@ def collapse_metrics(amps: np.ndarray, threshold: float = TERM_THRESHOLD) -> Col
     then E = -sum |c|^2 log2 |c|^2 in bits (0 log 0 = 0).  A row of
     probability zero gives P = N = E = 0.
     """
-    probability, _, moduli, n_terms = _collapse(amps, threshold)
+    probability, _, moduli, n_terms = _collapse(amps)
     weights = moduli * moduli
     logs = np.log2(np.where(weights > 0.0, weights, 1.0))
     e_bits = -(weights * logs).sum(axis=-1) + 0.0
@@ -483,17 +483,14 @@ class CollapseResult:
         return complex(self.amps[k])
 
 
-def measure_spin(
-    state: WalkState, outcome: Spin, threshold: float = TERM_THRESHOLD
-) -> CollapseResult:
+def measure_spin(state: WalkState, outcome: Spin) -> CollapseResult:
     """Project the walk state onto a spin outcome and normalize.
 
     probability is the chance of obtaining the outcome; the returned
-    amplitudes are those of the collapsed position state.  threshold is
-    the modulus cutoff for counting terms.
+    amplitudes are those of the collapsed position state.
     """
     amps = state.amps_up if outcome is Spin.UP else state.amps_down
-    probability, collapsed, _, n_terms = _collapse(amps, threshold)
+    probability, collapsed, _, n_terms = _collapse(amps)
     if probability == 0.0:
         collapsed = np.zeros(0, dtype=np.complex128)
     return CollapseResult(

@@ -14,7 +14,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from .core import (
-    TERM_THRESHOLD,
     CoinOperator,
     ShiftOperator,
     Spin,
@@ -34,31 +33,30 @@ __all__ = [
 ]
 
 
-def _normalized_metrics(amps: np.ndarray, norm_atol: float = 1e-10):
+def _normalized_metrics(amps: np.ndarray):
     """Collapse metrics of amplitudes that must already be normalized."""
     amps = np.asarray(amps, dtype=np.complex128)
     total = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
-    if abs(total - 1.0) > norm_atol:
+    if abs(total - 1.0) > 1e-10:
         raise ValueError(
             f"position amplitudes must be normalized: sum |c|^2 = {total!r}"
         )
     return collapse_metrics(amps)
 
 
-def entropy(amps: np.ndarray, norm_atol: float = 1e-10) -> float:
+def entropy(amps: np.ndarray) -> float:
     """Von Neumann entropy of normalized position amplitudes, in bits.
 
     Zero-probability entries contribute nothing (0 log 0 = 0).  Raises
-    ValueError when the amplitudes are not normalized to within
-    norm_atol, since the entropy of an unnormalized vector is
-    meaningless.
+    ValueError when sum |c|^2 is more than 1e-10 from 1, since the
+    entropy of an unnormalized vector is meaningless.
     """
-    return float(_normalized_metrics(amps, norm_atol).entropy)
+    return float(_normalized_metrics(amps).entropy)
 
 
-def term_count(amps: np.ndarray, threshold: float = TERM_THRESHOLD) -> int:
-    """Number of amplitudes whose normalized modulus exceeds the threshold."""
-    return int(collapse_metrics(np.asarray(amps, dtype=np.complex128), threshold).term_count)
+def term_count(amps: np.ndarray) -> int:
+    """Number of amplitudes whose normalized modulus exceeds the term threshold."""
+    return int(collapse_metrics(np.asarray(amps, dtype=np.complex128)).term_count)
 
 
 def normalized_entanglement(amps: np.ndarray, n_terms: int | None = None) -> float:
@@ -100,10 +98,10 @@ class AveragedEntanglement:
     value: float
 
 
-def _series(coin, shift, n_steps, outcomes, threshold=TERM_THRESHOLD):
+def _series(coin, shift, n_steps, outcomes):
     """One evolution, hypothetical collapses at every step for each outcome."""
     u, v = coin.matrix()[None], shift.matrix()[None]
-    steps = [collapse_metrics(amps[:, 0], threshold) for _, amps in walk_batch(u, v, n_steps)]
+    steps = [collapse_metrics(amps[:, 0]) for _, amps in walk_batch(u, v, n_steps)]
     records = {}
     for outcome in outcomes:
         row = outcome.row
@@ -126,7 +124,6 @@ def walk_entanglement_series(
     shift: ShiftOperator,
     n_steps: int,
     outcome: Spin,
-    threshold: float = TERM_THRESHOLD,
 ) -> list[EntanglementRecord]:
     """Per-step entanglement records for steps 1..n_steps.
 
@@ -136,7 +133,7 @@ def walk_entanglement_series(
     """
     if n_steps < 2:
         raise ValueError(f"n_steps must be at least 2, got {n_steps}")
-    return _series(coin, shift, n_steps, (outcome,), threshold)[outcome]
+    return _series(coin, shift, n_steps, (outcome,))[outcome]
 
 
 def averaged_entanglement(
@@ -144,7 +141,6 @@ def averaged_entanglement(
     shift: ShiftOperator,
     n_steps: int,
     outcome: Spin,
-    threshold: float = TERM_THRESHOLD,
 ) -> AveragedEntanglement:
     """Average the normalized entanglement over steps 2..n_steps.
 
@@ -152,6 +148,6 @@ def averaged_entanglement(
     state and would only dilute the average.  Steps where the outcome has
     zero probability contribute 0.
     """
-    records = walk_entanglement_series(coin, shift, n_steps, outcome, threshold)
+    records = walk_entanglement_series(coin, shift, n_steps, outcome)
     value = sum(r.normalized for r in records[1:]) / (n_steps - 1)
     return AveragedEntanglement(n_steps=n_steps, outcome=outcome, value=value)

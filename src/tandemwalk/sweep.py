@@ -1,21 +1,25 @@
 """Parameter-space exploration: 1-D sweeps, five-parameter grid searches
 and per-coin catalogs of maximal-entanglement events.
 
-Every point runs through the one walk engine in `core` (`walk_batch`
-with `collapse_metrics`), batched: a sweep, a catalog or a grid-search
-chunk lays its points out as (rho, theta, eta, alpha, beta_arg) columns,
-builds U and V from them with `coin_matrices` and `shift_matrices`, and
-evolves them together, in chunks sized so memory stays bounded however
-many points there are.  The averaged grid search drops, between
-steps, the walks that can no longer become hits.  Grid-search chunks
-can additionally be distributed over worker processes.  Chunk
-boundaries depend only on the grid, never on the worker count, so output
-order and content are identical for any parallelism.
+All three are one scan, `_scan`, over the product of five parameter
+axes (rho, theta, eta, alpha, beta_arg), plus a reducer.  A sweep is
+four one-value axes and the swept one, a catalog is the named coin's
+three values and its alpha and beta_arg grids, and a grid search is
+five `grid_axis` arrays.  The scan cuts the product into chunks of
+consecutive points, sized so memory stays bounded, and builds each
+chunk's U and V; the reducer evolves the chunk through the one walk
+engine in `core` (`walk_batch` with `collapse_metrics`) into rows or
+hits.  The averaged grid search drops, between steps, the walks that
+can no longer become hits.  Grid-search chunks can also go to worker
+processes; chunk boundaries depend only on the grid, never on the
+worker count, so output order and content are identical for any
+parallelism.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -96,6 +100,18 @@ def family_coin(
     return CoinOperator(rho=rho, theta=theta, eta=eta)
 
 
+def _axis(lo: float, hi: float, step: float, closed: bool) -> np.ndarray:
+    """lo, lo + step, ... below hi, then hi itself if the range is closed.
+
+    Values within 1e-12 of hi are dropped with those above it, so rounding
+    never puts a point outside [lo, hi] or a near copy of hi beside hi.
+    """
+    count = int(np.floor((hi - lo) / step + 1e-9))
+    values = lo + step * np.arange(count + 1)
+    values = values[values < hi - 1e-12]
+    return np.append(values, hi) if closed else values
+
+
 def grid_axis(name: str, step: float) -> np.ndarray:
     """Grid over a parameter's full range.
 
@@ -109,10 +125,7 @@ def grid_axis(name: str, step: float) -> np.ndarray:
         raise ValueError(f"unknown parameter {name!r}") from None
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    count = int(np.floor((hi - lo) / step + 1e-9))
-    values = lo + step * np.arange(count + 1)
-    values = values[values < hi - 1e-12]  # rounding can overshoot hi
-    return np.append(values, hi) if closed else values
+    return _axis(lo, hi, step, closed)
 
 
 @dataclass(frozen=True)
@@ -165,29 +178,16 @@ class SweepSpec:
                 raise ValueError(f"fixed {key}={value} outside its domain")
 
     def values(self) -> np.ndarray:
-        """Swept grid values in deterministic ascending order."""
-        count = int(np.floor((self.stop - self.start) / self.step + 1e-9))
-        values = self.start + self.step * np.arange(count + 1)
-        values = values[values <= self.stop + 1e-12]
+        """Swept grid values in ascending order, every one in [start, stop].
+
+        The grid ends exactly at stop, except where a beta_arg range
+        reaches 2 pi, which is the same phase as 0 and is left out.
+        """
         _, hi, closed = PARAM_RANGES[self.swept]
-        if closed and self.stop - values[-1] > 1e-12:
-            values = np.append(values, self.stop)
-        if not closed and values.size and values[-1] >= hi - 1e-12:
-            values = values[:-1]
+        values = _axis(self.start, self.stop, self.step, closed or self.stop < hi - 1e-12)
         if self.swept == "alpha" and self.start <= BALANCED_ALPHA <= self.stop:
             values = np.union1d(values, BALANCED_ALPHA)
         return values
-
-
-def _sweep_columns(spec: SweepSpec, values: np.ndarray) -> list[np.ndarray]:
-    """(rho, theta, eta, alpha, beta_arg) columns, one entry per swept value."""
-    params = {"alpha": BALANCED_ALPHA, "beta_arg": 0.0, **spec.fixed, spec.swept: values}
-    if spec.coin_family is not CoinFamily.GENERAL:
-        coin = family_coin(spec.coin_family)
-        params.update(rho=coin.rho, theta=coin.theta, eta=coin.eta)
-    elif not {"rho", "theta", "eta"} <= params.keys():
-        raise ValueError("the general coin family needs rho, theta and eta")
-    return [np.broadcast_to(params[name], values.shape) for name in PARAM_RANGES]
 
 
 def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
@@ -199,40 +199,30 @@ def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
     the grid, then the spec's outcome order.
     """
     n = spec.n_steps
+    point = {"alpha": BALANCED_ALPHA, "beta_arg": 0.0, **spec.fixed}
+    if spec.coin_family is not CoinFamily.GENERAL:
+        coin = family_coin(spec.coin_family)
+        point.update(rho=coin.rho, theta=coin.theta, eta=coin.eta)
+    elif not {"rho", "theta", "eta"} <= point.keys() | {spec.swept}:
+        raise ValueError("the general coin family needs rho, theta and eta")
+    axes = [
+        spec.values() if name == spec.swept else np.array([point[name]], dtype=np.float64)
+        for name in PARAM_RANGES
+    ]
     if spec.mode is SweepMode.AVERAGED:
-        header = [spec.swept, "outcome", f"avg_E_{n}"]
+        header, reduce = [spec.swept, "outcome", f"avg_E_{n}"], _averaged_rows
     else:
         header = [spec.swept, "outcome", "step", "P", "N", "E_bits", "normalized_E"]
-    grid = spec.values()
-    params = _sweep_columns(spec, grid)
-    values = grid.tolist()
-    rows: list[tuple] = []
-    chunk = _auto_chunk(n)
-    for start in range(0, len(values), chunk):
-        part = [column[start : start + chunk] for column in params]
-        u, v = coin_matrices(*part[:3]), shift_matrices(*part[3:])
-        if spec.mode is SweepMode.AVERAGED:
-            mean = _averaged(u, v, n)[1]
-        else:
-            steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n)]
-            columns = [np.stack(column) for column in zip(*steps)]  # each (n, 2, B)
-        for j, value in enumerate(values[start : start + chunk]):
-            for outcome in spec.outcomes:
-                r = outcome.row
-                if spec.mode is SweepMode.AVERAGED:
-                    rows.append((value, outcome.value, float(mean[r, j])))
-                    continue
-                p, n_terms, e_bits, cal = (col[:, r, j].tolist() for col in columns)
-                rows.extend(
-                    (value, outcome.value, a, *metrics)
-                    for a, metrics in enumerate(zip(p, n_terms, e_bits, cal), start=1)
-                )
-    return header, rows
+        reduce = _per_step_rows
+    swept = list(PARAM_RANGES).index(spec.swept)
+    return header, list(chain.from_iterable(_scan(axes, n, reduce, swept, spec.outcomes)))
 
 
-@dataclass(frozen=True)
-class MaxEntanglementHit:
-    """One parameter point whose walk reached the search criterion."""
+class MaxEntanglementHit(NamedTuple):
+    """One parameter point whose walk reached the search criterion.
+
+    The fields are the columns of `search`'s CSV, in order.
+    """
 
     rho: float
     theta: float
@@ -247,7 +237,7 @@ class MaxEntanglementHit:
 
 
 # ---------------------------------------------------------------------------
-# batched reductions over the walk engine
+# the scan and its reducers
 
 #: spins in the order of the engine's rows
 _SPINS = tuple(sorted(Spin, key=lambda spin: spin.row))
@@ -256,6 +246,41 @@ _SPINS = tuple(sorted(Spin, key=lambda spin: spin.row))
 def _auto_chunk(n_steps: int) -> int:
     # keep each (batch, n + 1) complex array around 32 MB
     return max(4096, (1 << 21) // (n_steps + 1))
+
+
+def _scan(axes, n_steps, reduce, *args, workers=1, chunk_size=None) -> Iterator:
+    """Yield `reduce(params, u, v, n_steps, *args)` for each chunk of the
+    product of `axes` (one array per parameter, in `PARAM_RANGES` order,
+    the last running fastest), in order.
+
+    params are the chunk's five parameter columns and u, v its (B, 2, 2)
+    coin and shift matrices.  Chunks hold chunk_size points (default
+    `_auto_chunk`).  workers > 1 spreads them over that many processes,
+    capped at the chunk count, so one chunk starts none.
+    """
+    total = int(np.prod([axis.size for axis in axes]))
+    chunk = chunk_size or _auto_chunk(n_steps)
+    tasks = [
+        (axes, start, min(start + chunk, total), n_steps, reduce, args)
+        for start in range(0, total, chunk)
+    ]
+    processes = min(workers, len(tasks))
+    if processes > 1:
+        from multiprocessing import get_context
+
+        with get_context().Pool(processes=processes) as pool:
+            yield from pool.imap(_scan_chunk, tasks)
+    else:
+        yield from map(_scan_chunk, tasks)
+
+
+def _scan_chunk(task):
+    """One chunk of `_scan`: its parameter columns, U and V, then the reducer."""
+    axes, start, stop, n_steps, reduce, args = task
+    subs = np.unravel_index(np.arange(start, stop), [axis.size for axis in axes])
+    params = [axis[sub] for axis, sub in zip(axes, subs)]
+    u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
+    return reduce(params, u, v, n_steps, *args)
 
 
 def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
@@ -297,12 +322,34 @@ def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
     return walks, total / (n_steps - 1), min_p, last_n
 
 
-def _isolated_hits(u, v, n_steps, p_threshold, maximal_atol):
-    """Every (walk, step, spin) whose collapse is maximally entangled with
-    probability above p_threshold.
+def _averaged_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
+    """Sweep rows (value, outcome, mean normalized E), by walk then outcome."""
+    mean = _averaged(u, v, n_steps)[1]
+    return [
+        (value, outcome.value, float(mean[outcome.row, j]))
+        for j, value in enumerate(params[swept].tolist())
+        for outcome in outcomes
+    ]
 
-    Returns columns (walk, step, row, normalized E, P, N) sorted by walk,
-    then step, then up before down.
+
+def _per_step_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
+    """Sweep rows (value, outcome, step, P, N, E, normalized E), by walk,
+    then outcome, then step."""
+    steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n_steps)]
+    columns = [np.stack(column) for column in zip(*steps)]  # each (n, 2, B)
+    rows = []
+    for j, value in enumerate(params[swept].tolist()):
+        for outcome in outcomes:
+            metrics = (column[:, outcome.row, j].tolist() for column in columns)
+            rows.extend(
+                (value, outcome.value, a, *m) for a, m in enumerate(zip(*metrics), start=1)
+            )
+    return rows
+
+
+def _isolated_hits(params, u, v, n_steps, p_threshold, maximal_atol):
+    """Every (walk, step, spin) whose collapse is maximally entangled with
+    probability above p_threshold, by walk, then step, then up before down.
     """
     empty = np.zeros(0, dtype=np.int64)
     found = [(empty, empty, empty, np.zeros(0), np.zeros(0), empty)]
@@ -322,44 +369,30 @@ def _isolated_hits(u, v, n_steps, p_threshold, maximal_atol):
         ))
     columns = [np.concatenate(column) for column in zip(*found)]
     order = np.lexsort(columns[2::-1])
-    return [column[order] for column in columns]
+    return _hits(params, *(column[order] for column in columns))
 
 
-def _chunk_params(axes, sizes, start, stop):
-    idx = np.arange(start, stop)
-    subs = np.unravel_index(idx, sizes)
-    return [axes[d][subs[d]] for d in range(len(axes))]
+def _averaged_hits(params, u, v, n_steps, p_threshold, avg_threshold):
+    """Every (walk, spin) whose mean normalized E exceeds avg_threshold
+    with every P above p_threshold, by walk, then up before down; the
+    hit carries the mean, the least P and the last step's N.
+    """
+    walks, mean, min_p, last_n = _averaged(u, v, n_steps, p_threshold, avg_threshold)
+    hit = (mean > avg_threshold) & (min_p > p_threshold)
+    cols, rows = np.nonzero(hit.T)
+    return _hits(
+        params, walks[cols], np.full(cols.size, n_steps), rows,
+        mean[rows, cols], min_p[rows, cols], last_n[rows, cols],
+    )
 
 
-def _search_chunk(task):
-    """Scan one chunk of grid indices; return hit rows sorted by tuple."""
-    (start, stop, grid_step, n_steps, mode_value, p_threshold, avg_threshold, maximal_atol) = task
-    axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
-    params = _chunk_params(axes, [axis.size for axis in axes], start, stop)
-    u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
-    if mode_value == SearchMode.ISOLATED_MAX.value:
-        walks, steps, rows, cal, prob, n_terms = _isolated_hits(
-            u, v, n_steps, p_threshold, maximal_atol
-        )
-    else:
-        alive, mean, min_p, last_n = _averaged(u, v, n_steps, p_threshold, avg_threshold)
-        hit = (mean > avg_threshold) & (min_p > p_threshold)
-        cols, rows = np.nonzero(hit.T)
-        walks, steps = alive[cols], np.full(cols.size, n_steps)
-        cal, prob, n_terms = mean[rows, cols], min_p[rows, cols], last_n[rows, cols]
-    return _hit_rows(params, walks, steps, rows, cal, prob, n_terms)
-
-
-def _hit_rows(params, walks, steps, rows, cal, prob, n_terms) -> list[tuple]:
-    """Hit columns as picklable tuples in `MaxEntanglementHit` field order."""
-    points = zip(*(p[walks].tolist() for p in params))
-    outcomes = [_SPINS[r].value for r in rows.tolist()]
-    columns = zip(points, steps.tolist(), outcomes, cal.tolist(), prob.tolist(), n_terms.tolist())
-    return [(*point, *hit) for point, *hit in columns]
-
-
-def _hit(row: tuple) -> MaxEntanglementHit:
-    return MaxEntanglementHit(*row[:6], Spin(row[6]), *row[7:])
+def _hits(params, walks, *columns):
+    """One `MaxEntanglementHit` per entry of the hit columns (walk, step,
+    row, normalized E, P, N); walks index the chunk's params."""
+    points = [p[walks].tolist() for p in params]
+    steps, rows, *metrics = (column.tolist() for column in columns)
+    spins = [_SPINS[r] for r in rows]
+    return list(map(MaxEntanglementHit._make, zip(*points, steps, spins, *metrics)))
 
 
 def grid_search(
@@ -397,16 +430,13 @@ def grid_search(
     if mode is SearchMode.AVERAGED_HIGH and not 0.0 <= avg_threshold < 1.0:
         # normalized E is capped at 1, so no mean can exceed a threshold of 1 or more
         raise ValueError(f"avg_threshold must lie in [0, 1), got {avg_threshold}")
-    sizes = [grid_axis(name, grid_step).size for name in PARAM_RANGES]
-    total = int(np.prod(sizes))
-    chunk = chunk_size or _auto_chunk(n_steps)
-    tasks = [
-        (start, min(start + chunk, total), grid_step, n_steps, mode.value,
-         p_threshold, avg_threshold, maximal_atol)
-        for start in range(0, total, chunk)
-    ]
-
-    return _stream_hits(tasks, min(workers or 1, len(tasks)))
+    axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
+    if mode is SearchMode.ISOLATED_MAX:
+        reduce, args = _isolated_hits, (p_threshold, maximal_atol)
+    else:
+        reduce, args = _averaged_hits, (p_threshold, avg_threshold)
+    scan = _scan(axes, n_steps, reduce, *args, workers=workers or 1, chunk_size=chunk_size)
+    return chain.from_iterable(scan)
 
 
 def _check_search(n_steps: int, p_threshold: float):
@@ -414,18 +444,6 @@ def _check_search(n_steps: int, p_threshold: float):
         raise ValueError(f"p_threshold must lie in (0, 1), got {p_threshold}")
     if n_steps < 2:
         raise ValueError(f"n_steps must be at least 2, got {n_steps}")
-
-
-def _stream_hits(tasks: list[tuple], processes: int) -> Iterator[MaxEntanglementHit]:
-    if processes > 1:
-        from multiprocessing import get_context
-
-        with get_context().Pool(processes=processes) as pool:
-            for rows in pool.imap(_search_chunk, tasks):
-                yield from map(_hit, rows)
-    else:
-        for task in tasks:
-            yield from map(_hit, _search_chunk(task))
 
 
 def find_max_cases(
@@ -442,8 +460,9 @@ def find_max_cases(
     0.1-step grids, the exact balanced alpha, and the quarter-turn
     phases, which is where the degenerate walks live) for n_max steps
     and records every step whose normalized entanglement is maximal with
-    probability above p_threshold.  Use `grid_search` to scan the
-    general coin.
+    probability above p_threshold.  Hits are ordered by alpha, then
+    beta_arg, then step, then up before down.  Use `grid_search` to scan
+    the general coin.
     """
     if coin_family is CoinFamily.GENERAL:
         raise ValueError("find_max_cases catalogs a named coin; use grid_search")
@@ -455,18 +474,9 @@ def find_max_cases(
         quarter = float(np.pi / 2)
         extra = [quarter, 2 * quarter, 3 * quarter]
         beta_arg_values = np.union1d(grid_axis("beta_arg", 0.1), extra)
-    grids = np.meshgrid(alpha_values, beta_arg_values, indexing="ij")
-    alpha, beta_arg = (grid.ravel().astype(np.float64) for grid in grids)
+    alpha = np.sort(np.asarray(alpha_values, dtype=np.float64))
     if np.any((alpha < 0.0) | (alpha > 1.0)):
         raise ValueError("alpha values must lie in [0, 1]")
-    coin_params = [np.broadcast_to(x, alpha.shape) for x in (coin.rho, coin.theta, coin.eta)]
-    points = [*coin_params, alpha, beta_arg]
-    hits = []
-    chunk = _auto_chunk(n_max)
-    for start in range(0, alpha.size, chunk):
-        params = [column[start : start + chunk] for column in points]
-        u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
-        columns = _isolated_hits(u, v, n_max, p_threshold, maximal_atol)
-        hits.extend(map(_hit, _hit_rows(params, *columns)))
-    hits.sort(key=lambda h: (h.alpha, h.beta_arg, h.step, h.outcome.row))
-    return hits
+    beta_arg = np.sort(np.asarray(beta_arg_values, dtype=np.float64))
+    axes = [np.array([x]) for x in (coin.rho, coin.theta, coin.eta)] + [alpha, beta_arg]
+    return list(chain.from_iterable(_scan(axes, n_max, _isolated_hits, p_threshold, maximal_atol)))

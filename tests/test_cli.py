@@ -200,6 +200,17 @@ class TestSweep:
         _, rows = parse_csv(out)
         assert {r[0] for r in rows} == {"0.3"}
 
+    def test_rho_sweep_ends_exactly_at_one(self, capsys):
+        # 0.09 + 13 * 0.07 lands one ulp above 1, where sqrt(1 - rho) is NaN
+        code, out, _ = run(
+            capsys, "sweep", "--coin", "general", "--sweep", "rho", "--start", "0.09",
+            "--stop", "1.0", "--step", "0.07", "--theta", "0.3", "--eta", "0.2", "--steps", "3",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert all(0.09 <= float(r[0]) <= 1.0 for r in rows)
+        assert float(rows[-1][0]) == 1.0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -292,6 +303,18 @@ class TestSearch:
         )
         assert code == 0
         assert "# grid=0.5" in out
+
+    def test_maximal_atol_echoed_only_where_it_shapes_rows(self, capsys):
+        args = ["search", "--grid", "0.92", "--steps", "4", "--maximal-atol", "0.5"]
+        code, out, _ = run(capsys, *args, "--mode", "averaged", "--workers", "1")
+        assert code == 0
+        assert "maximal_atol" not in out
+        code, out, _ = run(capsys, *args, "--mode", "isolated", "--workers", "1")
+        assert code == 0
+        assert "# maximal_atol=0.5" in out
+        code, out, _ = run(capsys, *args, "--coin", "z")
+        assert code == 0
+        assert "# maximal_atol=0.5" in out
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_non_positive_workers_rejected(self, capsys, monkeypatch, value):

@@ -324,3 +324,24 @@ class TestConjugationSymmetry:
             assert np.array_equal(metrics.term_count[:, :20], metrics.term_count[:, 20:])
             for values in (metrics.probability, metrics.entropy, metrics.normalized):
                 assert np.max(np.abs(values[:, :20] - values[:, 20:])) < 1e-12
+
+
+class TestInvariantEdges:
+    def test_r_zero_and_one_never_entangle(self):
+        """r = |(V U)_00| is 1 at alpha = sqrt(rho), beta phase theta + eta + pi
+        (a product-state chain) and 0 at alpha = sqrt(1 - rho), beta phase
+        theta + eta (a two-site bounce), so at every step one outcome is
+        certain and leaves a single term."""
+        rng = np.random.default_rng(59)
+        rho = rng.uniform(0, 1, 40)
+        theta, eta = rng.uniform(0, np.pi, 40), rng.uniform(0, np.pi, 40)
+        u = coin_matrices(np.tile(rho, 2), np.tile(theta, 2), np.tile(eta, 2))
+        phase = np.r_[theta + eta + np.pi, theta + eta]
+        v = shift_matrices(np.r_[np.sqrt(rho), np.sqrt(1 - rho)], np.mod(phase, 2 * np.pi))
+        walks = np.arange(80)
+        for _, amps in walk_batch(u, v, 200):
+            metrics = collapse_metrics(amps)
+            likelier = np.argmax(metrics.probability, axis=0)
+            assert np.max(np.abs(metrics.probability[likelier, walks] - 1.0)) < 1e-12
+            assert np.all(metrics.term_count[likelier, walks] == 1)
+            assert np.all(metrics.normalized[likelier, walks] == 0.0)

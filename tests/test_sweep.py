@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tandemwalk.sweep as sweep
 from tandemwalk import (
     BALANCED_ALPHA,
     CoinFamily,
@@ -95,6 +96,33 @@ class TestSweepSpec:
         spec = SweepSpec(CoinFamily.HADAMARD, "alpha", 0.37, 0.37, 1.0, 10)
         assert list(spec.values()) == [0.37]
 
+    @pytest.mark.parametrize(
+        "swept, start, stop, step", [("theta", 0.2, 3.0, 0.2), ("rho", 0.09, 1.0, 0.07)]
+    )
+    def test_rounding_never_leaves_the_range(self, swept, start, stop, step):
+        # 0.2 + 14 * 0.2 and 0.09 + 13 * 0.07 both land one ulp above stop
+        values = SweepSpec(CoinFamily.GENERAL, swept, start, stop, step, 4).values()
+        assert values[0] == start and values[-1] == stop
+        assert np.all(np.diff(values) > 0)
+
+    def test_typed_decimal_ranges_end_exactly_at_stop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            swept = str(rng.choice(list(PARAM_RANGES)))
+            lo, hi, _ = PARAM_RANGES[swept]
+            step = round(rng.uniform(0.01, 0.2), 3)
+            start = round(rng.uniform(lo, lo + 0.5), 2)
+            stop = round(start + ((hi - start - 1e-3) // step) * step, 3)  # on the typed grid
+            values = SweepSpec(CoinFamily.GENERAL, swept, start, stop, step, 4).values()
+            assert start <= values[0] and values[-1] == stop, (swept, start, stop, step)
+            assert np.all(np.diff(values) > 0)
+
+    def test_beta_arg_range_ends_at_stop_unless_it_reaches_two_pi(self):
+        partial = SweepSpec(CoinFamily.HADAMARD, "beta_arg", 0.0, 3.0, 0.7, 4).values()
+        assert np.array_equal(partial, [*(0.7 * np.arange(5)), 3.0])
+        full = SweepSpec(CoinFamily.HADAMARD, "beta_arg", 0.0, 2 * np.pi, 0.7, 4).values()
+        assert np.array_equal(full, 0.7 * np.arange(9))  # 2 pi is the phase 0
+
 
 class TestSweep1d:
     def test_averaged_rows_and_determinism(self):
@@ -175,6 +203,33 @@ class TestSweep1d:
         for outcome in ("down", "up"):
             vals = [r[2] for r in rows if r[1] == outcome]
             assert max(vals) - min(vals) < 1e-9
+
+
+class TestChunking:
+    """Chunk boundaries change no sweep row and no catalog hit."""
+
+    @staticmethod
+    def small_chunks(monkeypatch):
+        """Make every scan cut 7-point chunks; return the n_steps it sized them for."""
+        calls = []
+        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: calls.append(n_steps) or 7)
+        return calls
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_sweep_rows(self, monkeypatch, mode):
+        spec = SweepSpec(
+            CoinFamily.KEMPE, "alpha", 0.0, 1.0, 0.04, 12, fixed={"beta_arg": 0.3}, mode=mode
+        )
+        whole = sweep_1d(spec)
+        calls = self.small_chunks(monkeypatch)
+        assert sweep_1d(spec) == whole
+        assert calls == [12]
+
+    def test_catalog_hits(self, monkeypatch):
+        whole = find_max_cases(CoinFamily.Z, n_max=6, p_threshold=0.15)
+        calls = self.small_chunks(monkeypatch)
+        assert find_max_cases(CoinFamily.Z, n_max=6, p_threshold=0.15) == whole
+        assert calls == [6] and len(whole) > 7
 
 
 class TestBatchEngine:
