@@ -599,6 +599,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,23 +1,25 @@
 """Parameter-space exploration: 1-D sweeps, five-parameter grid searches
 and per-coin catalogs of maximal-entanglement events.
 
-All three are one scan, `_scan`, over the product of five parameter
-axes (rho, theta, eta, alpha, beta_arg), plus a reducer.  A sweep is
-four one-value axes and the swept one, a catalog is the named coin's
-three values and its alpha and beta_arg grids, and a grid search is
-five `grid_axis` arrays.  The scan cuts the product into chunks of
-consecutive points, sized so memory stays bounded, and builds each
-chunk's U and V; the reducer evolves the chunk through the one walk
-engine in `core` (`walk_batch` with `collapse_metrics`) into rows or
-hits.  The averaged grid search drops, between steps, the walks that
-can no longer become hits.  Grid-search chunks can also go to worker
-processes; chunk boundaries depend only on the grid, never on the
-worker count, so output order and content are identical for any
-parallelism.
+All three are one scan, `_scan`, over the product of parameter axes,
+plus a reducer.  A sweep is four one-value axes and the swept one, a
+catalog is the named coin's three values and its alpha and beta_arg
+grids.  A grid search scans one walk per key of its five `grid_axis`
+arrays: points with equal keys have equal metrics (`_key_walks`), and
+`_fan_out` hands each key's hits to its points in grid order.  The scan
+cuts the product into chunks of consecutive points, sized so memory
+stays bounded, and builds each chunk's U and V; the reducer evolves the
+chunk through the one walk engine in `core` (`walk_batch` with
+`collapse_metrics`) into rows or hits.  The averaged grid search drops,
+between steps, the walks that can no longer become hits.  Grid-search
+chunks can also go to worker processes; chunk boundaries depend only on
+the grid, never on the worker count, so output order and content are
+identical for any parallelism.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
@@ -166,6 +168,8 @@ class SweepSpec:
             )
         if self.step <= 0:
             raise ValueError(f"sweep step must be positive, got {self.step}")
+        if (self.stop - self.start) / self.step > 1e7:  # values() builds the whole grid
+            raise ValueError(f"sweep step {self.step} gives more than 10^7 values")
         minimum = 2 if self.mode is SweepMode.AVERAGED else 1
         if self.n_steps < minimum:
             raise ValueError(f"n_steps must be at least {minimum}, got {self.n_steps}")
@@ -215,7 +219,8 @@ def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
         header = [spec.swept, "outcome", "step", "P", "N", "E_bits", "normalized_E"]
         reduce = _per_step_rows
     swept = list(PARAM_RANGES).index(spec.swept)
-    return header, list(chain.from_iterable(_scan(axes, n, reduce, swept, spec.outcomes)))
+    scan = _scan(axes, n, reduce, swept, spec.outcomes)
+    return header, list(chain.from_iterable(rows for _, rows in scan))
 
 
 class MaxEntanglementHit(NamedTuple):
@@ -249,16 +254,19 @@ def _auto_chunk(n_steps: int) -> int:
 
 
 def _scan(axes, n_steps, reduce, *args, workers=1, chunk_size=None) -> Iterator:
-    """Yield `reduce(params, u, v, n_steps, *args)` for each chunk of the
-    product of `axes` (one array per parameter, in `PARAM_RANGES` order,
-    the last running fastest), in order.
+    """Yield `(start, reduce(params, u, v, n_steps, *args))` for each chunk
+    of the product of `axes`, in order; start is the flat index of the
+    chunk's first point.
 
-    params are the chunk's five parameter columns and u, v its (B, 2, 2)
-    coin and shift matrices.  Chunks hold chunk_size points (default
-    `_auto_chunk`).  workers > 1 spreads them over that many processes,
-    capped at the chunk count, so one chunk starts none.
+    An axis holds one parameter, (size,), or k that move together,
+    (size, k); the product's rows are the five parameters in
+    `PARAM_RANGES` order, the last axis running fastest.  params are the
+    chunk's five parameter columns and u, v its (B, 2, 2) coin and shift
+    matrices.  Chunks hold chunk_size points (default `_auto_chunk`).
+    workers > 1 spreads them over that many processes, capped at the
+    chunk count, so one chunk starts none.
     """
-    total = int(np.prod([axis.size for axis in axes]))
+    total = int(np.prod([len(axis) for axis in axes]))
     chunk = chunk_size or _auto_chunk(n_steps)
     tasks = [
         (axes, start, min(start + chunk, total), n_steps, reduce, args)
@@ -277,10 +285,10 @@ def _scan(axes, n_steps, reduce, *args, workers=1, chunk_size=None) -> Iterator:
 def _scan_chunk(task):
     """One chunk of `_scan`: its parameter columns, U and V, then the reducer."""
     axes, start, stop, n_steps, reduce, args = task
-    subs = np.unravel_index(np.arange(start, stop), [axis.size for axis in axes])
-    params = [axis[sub] for axis, sub in zip(axes, subs)]
+    subs = np.unravel_index(np.arange(start, stop), [len(axis) for axis in axes])
+    params = [row for axis, sub in zip(axes, subs) for row in axis[sub].T.reshape(-1, sub.size)]
     u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
-    return reduce(params, u, v, n_steps, *args)
+    return start, reduce(params, u, v, n_steps, *args)
 
 
 def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
@@ -348,7 +356,8 @@ def _per_step_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
 
 
 def _isolated_hits(params, u, v, n_steps, p_threshold, maximal_atol):
-    """Every (walk, step, spin) whose collapse is maximally entangled with
+    """Hit columns (walk, step, row, normalized E, P, N) of every
+    (walk, step, spin) whose collapse is maximally entangled with
     probability above p_threshold, by walk, then step, then up before down.
     """
     empty = np.zeros(0, dtype=np.int64)
@@ -369,30 +378,82 @@ def _isolated_hits(params, u, v, n_steps, p_threshold, maximal_atol):
         ))
     columns = [np.concatenate(column) for column in zip(*found)]
     order = np.lexsort(columns[2::-1])
-    return _hits(params, *(column[order] for column in columns))
+    return [column[order] for column in columns]
 
 
 def _averaged_hits(params, u, v, n_steps, p_threshold, avg_threshold):
-    """Every (walk, spin) whose mean normalized E exceeds avg_threshold
-    with every P above p_threshold, by walk, then up before down; the
-    hit carries the mean, the least P and the last step's N.
+    """Hit columns, as `_isolated_hits` returns them, of every (walk, spin)
+    whose mean normalized E exceeds avg_threshold with every P above
+    p_threshold, by walk, then up before down; the hit carries the mean,
+    the least P and the last step's N.
     """
     walks, mean, min_p, last_n = _averaged(u, v, n_steps, p_threshold, avg_threshold)
     hit = (mean > avg_threshold) & (min_p > p_threshold)
     cols, rows = np.nonzero(hit.T)
-    return _hits(
-        params, walks[cols], np.full(cols.size, n_steps), rows,
+    return (
+        walks[cols], np.full(cols.size, n_steps), rows,
         mean[rows, cols], min_p[rows, cols], last_n[rows, cols],
     )
 
 
-def _hits(params, walks, *columns):
-    """One `MaxEntanglementHit` per entry of the hit columns (walk, step,
-    row, normalized E, P, N); walks index the chunk's params."""
-    points = [p[walks].tolist() for p in params]
-    steps, rows, *metrics = (column.tolist() for column in columns)
-    spins = [_SPINS[r] for r in rows]
-    return list(map(MaxEntanglementHit._make, zip(*points, steps, spins, *metrics)))
+def _fan_out(axes, key, n_keys, scan) -> Iterator[MaxEntanglementHit]:
+    """One `MaxEntanglementHit` per point of the grid `axes` and hit of its
+    key, in grid order; scan is `_scan` over one walk per key with
+    `_isolated_hits` or `_averaged_hits`, and key maps a chunk's index
+    arrays into the axes to keys.  Chunks of points hold at most 2^16
+    hits; with no hit at all no point is visited."""
+    found = [(start + walks, *rest) for start, (walks, *rest) in scan]
+    if not any(walks.size for walks, *_ in found):
+        return
+    keys, steps, rows, *metrics = (np.concatenate(column) for column in zip(*found))
+    counts = np.bincount(keys, minlength=n_keys)
+    first = np.cumsum(counts) - counts
+    chunk = max(1, (1 << 16) // int(counts.max()))
+    shape = [axis.size for axis in axes]
+    total = int(np.prod(shape))
+    for start in range(0, total, chunk):
+        subs = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        point_keys = key(subs)
+        n = counts[point_keys]
+        points = np.repeat(np.arange(n.size), n)
+        hits = np.arange(points.size) + np.repeat(first[point_keys] - (np.cumsum(n) - n), n)
+        params = [axis[sub[points]].tolist() for axis, sub in zip(axes, subs)]
+        spins = [_SPINS[r] for r in rows[hits].tolist()]
+        columns = (column[hits].tolist() for column in metrics)
+        yield from map(MaxEntanglementHit._make, zip(*params, steps[hits].tolist(), spins, *columns))
+
+
+def _key_walks(axes):
+    """([rho, rest], key, n_keys): `_scan` axes of one walk per key of the
+    grid `axes`, at the key's first point, and the map of a chunk's index
+    arrays into `axes` to keys.  The key (rho index, (|m|, c mod 2),
+    alpha index) fixes r = |W00| and so every metric, where
+    beta_arg - theta - eta = m h - c pi (README, "The engine")."""
+    rho, theta, eta, alpha, beta_arg = axes
+    end = np.arange(theta.size) == theta.size - 1
+    lattice = np.where(end, 0, np.arange(theta.size))
+
+    def code(t, e, b):  # 2 |m| + c mod 2 of index arrays into theta, eta, beta_arg
+        return 2 * np.abs(b - lattice[t] - lattice[e]) + (end[t] ^ end[e])
+
+    first = {}  # each class's first (theta, eta, beta_arg) indices, a theta index at a time
+    e, b = (index.ravel() for index in np.indices((eta.size, beta_arg.size)))
+    for t in range(theta.size):
+        found, at = np.unique(code(t, e, b), return_index=True)
+        for c, j in zip(found.tolist(), at.tolist()):
+            first.setdefault(c, (t, e[j], b[j]))
+    codes = np.array(sorted(first))
+    rank = np.zeros(codes[-1] + 1, dtype=np.int64)
+    rank[codes] = np.arange(codes.size)
+    c, a = np.divmod(np.arange(codes.size * alpha.size), alpha.size)
+    t, e, b = np.array([first[k] for k in codes.tolist()])[c].T
+    rest = np.column_stack([theta[t], eta[e], alpha[a], beta_arg[b]])
+
+    def key(subs):
+        classes = rank[code(subs[1], subs[2], subs[4])]
+        return (subs[0] * codes.size + classes) * alpha.size + subs[3]
+
+    return [rho, rest], key, rho.size * len(rest)
 
 
 def grid_search(
@@ -418,11 +479,14 @@ def grid_search(
     walk's arithmetic does not depend on which others share its batch,
     so the hits are the same, to the bit, as those of a full run.
 
-    Hits stream in grid order (then step, then up before down).  The
-    scan is chunked, so memory stays bounded for any grid size; pass
-    workers > 1 to spread chunks over up to that many processes (no more
-    than there are chunks; a single chunk starts no process).  Arguments
-    are checked on the call, before the first hit is asked for.
+    One walk runs per key (see `_key_walks`) and its hits go to each of
+    the key's points; floats can differ from a walk at the point in the
+    last digit.  Hits stream in grid order (then step, then up before
+    down).  The scan is chunked, so memory stays bounded for any grid
+    size; chunk_size and workers count key walks: workers > 1 spreads
+    chunks over up to that many processes (no more than there are
+    chunks; a single chunk starts no process).  Arguments are checked on
+    the call, before the first hit is asked for.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -435,8 +499,9 @@ def grid_search(
         reduce, args = _isolated_hits, (p_threshold, maximal_atol)
     else:
         reduce, args = _averaged_hits, (p_threshold, avg_threshold)
-    scan = _scan(axes, n_steps, reduce, *args, workers=workers or 1, chunk_size=chunk_size)
-    return chain.from_iterable(scan)
+    walk_axes, key, n_keys = _key_walks(axes)
+    scan = _scan(walk_axes, n_steps, reduce, *args, workers=workers or 1, chunk_size=chunk_size)
+    return _fan_out(axes, key, n_keys, scan)
 
 
 def _check_search(n_steps: int, p_threshold: float):
@@ -479,4 +544,7 @@ def find_max_cases(
         raise ValueError("alpha values must lie in [0, 1]")
     beta_arg = np.sort(np.asarray(beta_arg_values, dtype=np.float64))
     axes = [np.array([x]) for x in (coin.rho, coin.theta, coin.eta)] + [alpha, beta_arg]
-    return list(chain.from_iterable(_scan(axes, n_max, _isolated_hits, p_threshold, maximal_atol)))
+    scan = _scan(axes, n_max, _isolated_hits, p_threshold, maximal_atol)
+    shape = [axis.size for axis in axes]  # every point is its own key
+    key = partial(np.ravel_multi_index, dims=shape)
+    return list(_fan_out(axes, key, int(np.prod(shape)), scan))

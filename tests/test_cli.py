@@ -1,5 +1,6 @@
 import pytest
 
+import tandemwalk.cli as cli
 from tandemwalk import BALANCED_ALPHA
 from tandemwalk.cli import main
 
@@ -231,6 +232,16 @@ class TestSweep:
         assert "figure" in err or "sweep" in err
 
 
+class TestSweepBound:
+    def test_too_fine_a_step_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--coin", "hadamard", "--sweep", "alpha", "--start", "0",
+            "--stop", "1", "--step", "1e-9", "--steps", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "values" in err
+
+
 class TestSearch:
     def test_isolated_coarse_grid(self, capsys):
         code, out, err = run(
@@ -426,3 +437,19 @@ class TestConfigAndEnv:
         assert text.startswith("# tandemwalk")
         header, rows = parse_csv(text)
         assert len(rows) == 6  # both outcomes by default
+
+
+class TestExitCodes:
+    def test_unexpected_fault_exits_3_with_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_evolve", broken)
+        code, out, err = run(capsys, "evolve", "--coin", "z", "--steps", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("error: internal: RuntimeError(")
+        assert err.count("\n") == 1 and "boom" in err
+
+    def test_bad_parameters_still_exit_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--coin", "hadamard", "--steps", "4")
+        assert code == 2 and err.startswith("error: ") and "internal" not in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,18 @@ class TestSweepSpec:
             values = SweepSpec(CoinFamily.GENERAL, swept, start, stop, step, 4).values()
             assert start <= values[0] and values[-1] == stop, (swept, start, stop, step)
             assert np.all(np.diff(values) > 0)
+
+    def test_value_count_bounded_before_the_grid_is_built(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_axis", lambda *args: pytest.fail("grid built"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="values"):
+                SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-9, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-7, 2)  # 10^7 values: allowed
 
     def test_beta_arg_range_ends_at_stop_unless_it_reaches_two_pi(self):
         partial = SweepSpec(CoinFamily.HADAMARD, "beta_arg", 0.0, 3.0, 0.7, 4).values()
@@ -355,10 +369,10 @@ class TestGridSearch:
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda: FakeContext())
         serial = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=1))
-        # 7488 grid points in chunks of 2000 make four tasks
-        capped = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=64, chunk_size=2000))
+        # the 7488 grid points have 234 keys, whose walks in chunks of 60 make four tasks
+        capped = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=64, chunk_size=60))
         assert started == [4]
-        two = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2, chunk_size=2000))
+        two = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2, chunk_size=60))
         assert started == [4, 2]
         single_task = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=8))
         assert started == [4, 2]  # one chunk: no pool at all
@@ -401,16 +415,23 @@ class TestAveragedPruning:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        """Grid points and their unpruned (mean, min P, last N), one batch."""
+        """Grid points, their keys, and the key walks' U, V and unpruned
+        (mean, min P, last N), one batch."""
         axes = [grid_axis(name, self.GRID) for name in PARAM_RANGES]
-        points = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
-        u, v = coin_matrices(*points[:3]), shift_matrices(*points[3:])
-        walks, mean, min_p, last_n = _averaged(u, v, self.STEPS)
-        assert walks.tolist() == list(range(u.shape[0]))
-        return points, mean, min_p, last_n
+        (rho, rest), key, n_keys = sweep._key_walks(axes)
+        walks = [np.repeat(rho, len(rest)), *np.tile(rest, (rho.size, 1)).T]
+        u, v = coin_matrices(*walks[:3]), shift_matrices(*walks[3:])
+        index, mean, min_p, last_n = _averaged(u, v, self.STEPS)
+        assert index.tolist() == list(range(n_keys))
+        shape = [axis.size for axis in axes]
+        subs = np.unravel_index(np.arange(np.prod(shape)), shape)
+        points = [axis[sub] for axis, sub in zip(axes, subs)]
+        return points, key(subs), u, v, mean, min_p, last_n
 
     def _expected(self, reference, p_threshold, avg_threshold):
-        points, mean, min_p, last_n = reference
+        """The hit rule applied to every grid point's key walk, in grid order."""
+        points, keys, _, _, mean, min_p, last_n = reference
+        mean, min_p, last_n = mean[:, keys], min_p[:, keys], last_n[:, keys]
         hit = (mean > avg_threshold) & (min_p > p_threshold)
         return [
             MaxEntanglementHit(
@@ -434,7 +455,7 @@ class TestAveragedPruning:
         for p_threshold, avg_threshold in thresholds:
             expected = self._expected(reference, p_threshold, avg_threshold)
             assert expected
-            for chunk_size in (None, 997):
+            for chunk_size in (None, 97):  # 198 key walks: one chunk, then three
                 for workers in (1, 2):
                     hits = list(grid_search(
                         self.GRID, self.STEPS, SearchMode.AVERAGED_HIGH,
@@ -444,10 +465,9 @@ class TestAveragedPruning:
                     assert hits == expected, (p_threshold, avg_threshold, chunk_size, workers)
 
     def test_walks_leave_the_batch(self, reference):
-        points, full, full_min_p, _ = reference
-        u, v = coin_matrices(*points[:3]), shift_matrices(*points[3:])
+        _, _, u, v, full, full_min_p, _ = reference
         walks, mean, _, _ = _averaged(u, v, self.STEPS, 0.15, 0.999)
-        assert walks.size == 0 and mean.shape == (2, 0)  # no point averages 0.999
+        assert walks.size == 0 and mean.shape == (2, 0)  # no walk averages 0.999
         walks, mean, min_p, _ = _averaged(u, v, self.STEPS, 0.15, 0.75)
         assert 0 < walks.size < u.shape[0] // 2
         assert np.all(np.diff(walks) > 0)
@@ -456,6 +476,150 @@ class TestAveragedPruning:
         assert not np.any((full[:, dropped] > 0.75) & (full_min_p[:, dropped] > 0.15))
         assert np.array_equal(full[:, walks], mean)
         assert np.array_equal(full_min_p[:, walks], min_p)
+
+
+class TestKeyedSearch:
+    """One walk per key finds the hits of a walk per grid point.
+
+    The thresholds sit 1e-15 below a hit's value, at the lowest and the
+    median one.  Exactly at a value they would test rounding: points of
+    one key reach it with floats an ulp apart in a walk per point, so
+    that scan puts some on each side.
+    """
+
+    STEPS = 10
+
+    @pytest.fixture(scope="class", params=[0.6, 0.3, 0.2])
+    def per_point(self, request):
+        """The grid's points, the (point, step, row, normalized E, P, N) of
+        every collapse near maximal with P above 0.1, and every point's
+        (mean, min P, last N) as the averaged search defines them, from one
+        walk per point."""
+        grid, n = request.param, self.STEPS
+        axes = [grid_axis(name, grid) for name in PARAM_RANGES]
+        points = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
+        near, averaged = [], []
+        for lo in range(0, points[0].size, 1 << 15):
+            chunk = [p[lo:lo + (1 << 15)] for p in points]
+            u, v = coin_matrices(*chunk[:3]), shift_matrices(*chunk[3:])
+            total, min_p = 0.0, 1.0
+            for a, amps in walk_batch(u, v, n):
+                if a < 2:
+                    continue
+                metrics = collapse_metrics(amps)
+                total, min_p = total + metrics.normalized, np.minimum(min_p, metrics.probability)
+                found = (metrics.normalized > 1 - 1e-6) & (metrics.probability > 0.1)
+                rows, walks = np.nonzero(found)
+                near.append(np.column_stack([
+                    lo + walks, np.full(walks.size, a), rows, metrics.normalized[found],
+                    metrics.probability[found], metrics.term_count[found],
+                ]))
+            averaged.append(np.stack([total / (n - 1), min_p, metrics.term_count]))
+        near = np.concatenate(near)
+        near = near[np.lexsort(near[:, 2::-1].T)]
+        return grid, points, near, np.concatenate(averaged, axis=2)
+
+    @staticmethod
+    def columns(points, j, step, row, normalized, probability, term_count):
+        """The ten hit columns, as tuples, from the point index, step, row
+        and metrics of each hit."""
+        spins = tuple(Spin.UP if r == 0 else Spin.DOWN for r in row.tolist())
+        return [
+            *(tuple(p[j].tolist()) for p in points), tuple(step.astype(int).tolist()), spins,
+            tuple(normalized.tolist()), tuple(probability.tolist()),
+            tuple(term_count.astype(int).tolist()),
+        ]
+
+    @staticmethod
+    def assert_same_hits(hits, expected):
+        """Points, steps, outcomes and N equal, normalized E and P to 1e-12."""
+        assert expected[0]
+        got = list(zip(*hits))
+        assert got[:7] == expected[:7] and got[9] == expected[9]
+        assert np.abs(np.subtract(got[7:9], expected[7:9])).max() <= 1e-12
+
+    def test_isolated_hits(self, per_point):
+        grid, points, near, _ = per_point
+
+        def expected(p_threshold, maximal_atol):
+            rows = near[(near[:, 3] > 1 - maximal_atol) & (near[:, 4] > p_threshold)]
+            return self.columns(points, rows[:, 0].astype(int), *rows[:, 1:].T)
+
+        *_, norms, probs, _ = expected(0.15, sweep.MAXIMAL_ATOL)
+        for p_threshold, maximal_atol in [
+            (0.15, sweep.MAXIMAL_ATOL),
+            (min(probs) - 1e-15, sweep.MAXIMAL_ATOL),
+            (float(np.median(probs)) - 1e-15, sweep.MAXIMAL_ATOL),
+            (0.15, 1 - min(norms) + 1e-15),
+        ]:
+            hits = grid_search(grid, self.STEPS, SearchMode.ISOLATED_MAX,
+                               p_threshold=p_threshold, maximal_atol=maximal_atol)
+            self.assert_same_hits(list(hits), expected(p_threshold, maximal_atol))
+
+    def test_averaged_hits(self, per_point):
+        grid, points, _, (mean, min_p, last_n) = per_point
+
+        def expected(p_threshold, avg_threshold):
+            j, r = np.nonzero(((mean > avg_threshold) & (min_p > p_threshold)).T)
+            steps = np.full(j.size, self.STEPS)
+            return self.columns(points, j, steps, r, mean[r, j], min_p[r, j], last_n[r, j])
+
+        *_, means, probs, _ = expected(0.15, 0.75)
+        for p_threshold, avg_threshold in [
+            (0.15, min(means) - 1e-15),
+            (0.15, float(np.median(means)) - 1e-15),
+            (min(probs) - 1e-15, 0.75),
+            (float(np.median(probs)) - 1e-15, 0.75),
+        ]:
+            hits = grid_search(grid, self.STEPS, SearchMode.AVERAGED_HIGH,
+                               p_threshold=p_threshold, avg_threshold=avg_threshold)
+            self.assert_same_hits(list(hits), expected(p_threshold, avg_threshold))
+
+
+class TestEqualKeys:
+    """Points of one key walk alike, so one walk stands for them all."""
+
+    @pytest.mark.parametrize("grid, seed", [(0.1, 5), (0.05, 6)])
+    def test_members_walk_like_the_first(self, grid, seed):
+        axes = [grid_axis(name, grid) for name in PARAM_RANGES]
+        rho, theta, eta, alpha, beta_arg = axes
+        end = np.arange(theta.size) == theta.size - 1  # the appended pi
+        lattice = np.where(end, 0, np.arange(theta.size))
+        shape = (theta.size, eta.size, beta_arg.size)
+        t, e, b = (x.ravel() for x in np.indices(shape))
+        m, c = b - lattice[t] - lattice[e], end[t].astype(int) + end[e]
+        rng = np.random.default_rng(seed)
+        fold = (c == 0) & (m < 0) & np.isin(-m, m[c == 0])
+        # per class: its first and some other (theta, eta, beta_arg) triples,
+        # as flat indices, then a rho index and an alpha index
+        walks = []
+        for seeds in (c == 1, c == 2, fold):
+            seed_member = rng.choice(np.flatnonzero(seeds))
+            same = (np.abs(m) == abs(m[seed_member])) & (c % 2 == c[seed_member] % 2)
+            same = np.flatnonzero(same)
+            members = np.union1d(seed_member, rng.choice(same, min(5, same.size), replace=False))
+            if seeds is fold:  # m of both signs, joined only by |m|
+                assert np.any(m[members] > 0) and np.any(m[members] < 0)
+            walks.append((same[0], members, *rng.integers([rho.size, alpha.size])))
+        (_, rest), key, _ = sweep._key_walks(axes)
+        subs, owner = [], []
+        for representative, members, i, k in walks:
+            t, e, b = np.unravel_index(np.append(representative, members), shape)
+            group = (np.full(t.size, i), t, e, np.full(t.size, k), b)
+            keys = key(group)
+            assert np.all(keys == keys[0])
+            # the search walks the key at its first point in grid order
+            first = [theta[t[0]], eta[e[0]], alpha[k], beta_arg[b[0]]]
+            assert np.array_equal(rest[keys[0] % len(rest)], first)
+            owner += [len(owner)] * t.size
+            subs.append(group)
+        params = [axis[np.concatenate(sub)] for axis, sub in zip(axes, zip(*subs))]
+        u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
+        for _, amps in walk_batch(u, v, 200):
+            metrics = collapse_metrics(amps)
+            assert np.array_equal(metrics.term_count, metrics.term_count[:, owner])
+            for column in (metrics.probability, metrics.entropy, metrics.normalized):
+                assert np.abs(column - column[:, owner]).max() <= 1e-12
 
 
 class TestFindMaxCases:
