@@ -596,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # bad input, or an --out the system refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input

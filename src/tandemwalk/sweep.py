@@ -400,27 +400,31 @@ def _fan_out(axes, key, n_keys, scan) -> Iterator[MaxEntanglementHit]:
     """One `MaxEntanglementHit` per point of the grid `axes` and hit of its
     key, in grid order; scan is `_scan` over one walk per key with
     `_isolated_hits` or `_averaged_hits`, and key maps a chunk's index
-    arrays into the axes to keys.  Chunks of points hold at most 2^16
-    hits; with no hit at all no point is visited."""
+    arrays into the axes to keys.  Points go in chunks of 2^16, each cut
+    into pieces of about 2^16 hits; with no hit at all no point is
+    visited."""
     found = [(start + walks, *rest) for start, (walks, *rest) in scan]
     if not any(walks.size for walks, *_ in found):
         return
     keys, steps, rows, *metrics = (np.concatenate(column) for column in zip(*found))
     counts = np.bincount(keys, minlength=n_keys)
     first = np.cumsum(counts) - counts
-    chunk = max(1, (1 << 16) // int(counts.max()))
     shape = [axis.size for axis in axes]
-    total = int(np.prod(shape))
+    total, chunk = int(np.prod(shape)), 1 << 16
     for start in range(0, total, chunk):
         subs = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
         point_keys = key(subs)
-        n = counts[point_keys]
-        points = np.repeat(np.arange(n.size), n)
-        hits = np.arange(points.size) + np.repeat(first[point_keys] - (np.cumsum(n) - n), n)
-        params = [axis[sub[points]].tolist() for axis, sub in zip(axes, subs)]
-        spins = [_SPINS[r] for r in rows[hits].tolist()]
-        columns = (column[hits].tolist() for column in metrics)
-        yield from map(MaxEntanglementHit._make, zip(*params, steps[hits].tolist(), spins, *columns))
+        ends = np.cumsum(counts[point_keys])
+        cuts = [0, *(np.flatnonzero(np.diff(ends // chunk)) + 1).tolist(), ends.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            piece_keys = point_keys[lo:hi]
+            n = counts[piece_keys]
+            points = np.repeat(np.arange(lo, hi), n)
+            hits = np.arange(points.size) + np.repeat(first[piece_keys] - (np.cumsum(n) - n), n)
+            params = [axis[sub[points]].tolist() for axis, sub in zip(axes, subs)]
+            step, spins = steps[hits].tolist(), [_SPINS[r] for r in rows[hits].tolist()]
+            columns = (column[hits].tolist() for column in metrics)
+            yield from map(MaxEntanglementHit._make, zip(*params, step, spins, *columns))
 
 
 def _key_walks(axes):
@@ -430,28 +434,19 @@ def _key_walks(axes):
     alpha index) fixes r = |W00| and so every metric, where
     beta_arg - theta - eta = m h - c pi (README, "The engine")."""
     rho, theta, eta, alpha, beta_arg = axes
+    shape = (theta.size, eta.size, beta_arg.size)
+    t, e, b = np.indices(shape).reshape(3, -1)  # grid order at fixed rho and alpha
     end = np.arange(theta.size) == theta.size - 1
     lattice = np.where(end, 0, np.arange(theta.size))
-
-    def code(t, e, b):  # 2 |m| + c mod 2 of index arrays into theta, eta, beta_arg
-        return 2 * np.abs(b - lattice[t] - lattice[e]) + (end[t] ^ end[e])
-
-    first = {}  # each class's first (theta, eta, beta_arg) indices, a theta index at a time
-    e, b = (index.ravel() for index in np.indices((eta.size, beta_arg.size)))
-    for t in range(theta.size):
-        found, at = np.unique(code(t, e, b), return_index=True)
-        for c, j in zip(found.tolist(), at.tolist()):
-            first.setdefault(c, (t, e[j], b[j]))
-    codes = np.array(sorted(first))
-    rank = np.zeros(codes[-1] + 1, dtype=np.int64)
-    rank[codes] = np.arange(codes.size)
-    c, a = np.divmod(np.arange(codes.size * alpha.size), alpha.size)
-    t, e, b = np.array([first[k] for k in codes.tolist()])[c].T
+    code = 2 * np.abs(b - lattice[t] - lattice[e]) + (end[t] ^ end[e])  # 2 |m| + c mod 2
+    _, first, classes = np.unique(code, return_index=True, return_inverse=True)
+    classes = classes.reshape(shape)
+    c, a = np.divmod(np.arange(first.size * alpha.size), alpha.size)
+    t, e, b = t[first][c], e[first][c], b[first][c]
     rest = np.column_stack([theta[t], eta[e], alpha[a], beta_arg[b]])
 
     def key(subs):
-        classes = rank[code(subs[1], subs[2], subs[4])]
-        return (subs[0] * codes.size + classes) * alpha.size + subs[3]
+        return (subs[0] * first.size + classes[subs[1], subs[2], subs[4]]) * alpha.size + subs[3]
 
     return [rho, rest], key, rho.size * len(rest)
 

@@ -453,3 +453,9 @@ class TestExitCodes:
     def test_bad_parameters_still_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--coin", "hadamard", "--steps", "4")
         assert code == 2 and err.startswith("error: ") and "internal" not in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "no" / "such" / "hits.csv"
+        code, out, err = run(capsys, "search", "--coin", "z", "--steps", "4", "--out", str(missing))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "internal" not in err and "hits.csv" in err

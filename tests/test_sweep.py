@@ -481,10 +481,11 @@ class TestAveragedPruning:
 class TestKeyedSearch:
     """One walk per key finds the hits of a walk per grid point.
 
-    The thresholds sit 1e-15 below a hit's value, at the lowest and the
-    median one.  Exactly at a value they would test rounding: points of
-    one key reach it with floats an ulp apart in a walk per point, so
-    that scan puts some on each side.
+    The equality tests put their thresholds 1e-15 below a hit's value, at
+    the lowest and the median one.  Exactly at a value the hit sets can
+    differ: points of one key reach it with floats an ulp apart in a walk
+    per point, so that scan puts some on each side, while the keyed scan
+    decides the key as a whole; the threshold-at-a-value tests pin that.
     """
 
     STEPS = 10
@@ -555,6 +556,59 @@ class TestKeyedSearch:
             hits = grid_search(grid, self.STEPS, SearchMode.ISOLATED_MAX,
                                p_threshold=p_threshold, maximal_atol=maximal_atol)
             self.assert_same_hits(list(hits), expected(p_threshold, maximal_atol))
+
+    @staticmethod
+    def count_split_keys(grid, hits, threshold, j, step, row, value):
+        """Check the keyed hits of a threshold at a value against the walk
+        per point's (point, step, row) hits j, step, row with their value
+        of the thresholded metric: the keyed hits take every (key, step,
+        outcome) whole and match on each one the walk per point keeps
+        whole; the walk per point splits one only where its hits' values
+        round just above the threshold.  Returns how many it splits."""
+        axes = [grid_axis(name, grid) for name in PARAM_RANGES]
+        shape = [axis.size for axis in axes]
+        _, key, n_keys = sweep._key_walks(axes)
+        keys = key(np.unravel_index(np.arange(np.prod(shape)), shape))
+        size = np.bincount(keys, minlength=n_keys)
+
+        def groups(j, step, row):
+            return np.unique(np.column_stack([keys[j], step, row]), axis=0,
+                             return_inverse=True, return_counts=True)
+
+        got = list(zip(*hits))
+        point = np.ravel_multi_index([np.searchsorted(a, c) for a, c in zip(axes, got[:5])], shape)
+        keyed, _, keyed_count = groups(point, got[5], [spin.row for spin in got[6]])
+        assert np.array_equal(keyed_count, size[keyed[:, 0]])
+        found, inverse, count = groups(j, step, row)
+        split = count < size[found[:, 0]]
+        assert np.all(value[split[inverse.ravel()]] <= threshold + 1e-15)
+        whole = set(map(tuple, found[~split].tolist()))
+        assert set(map(tuple, keyed.tolist())) - set(map(tuple, found[split].tolist())) == whole
+        return int(split.sum())
+
+    def test_isolated_threshold_at_a_value(self, per_point):
+        grid, _, near, _ = per_point
+        maximal = near[near[:, 3] > 1 - sweep.MAXIMAL_ATOL]
+        p_threshold = float(np.median(maximal[maximal[:, 4] > 0.15, 4]))
+        rows = maximal[maximal[:, 4] > p_threshold]
+        hits = list(grid_search(grid, self.STEPS, SearchMode.ISOLATED_MAX, p_threshold=p_threshold))
+        j, step, row = rows[:, :3].astype(int).T
+        assert self.count_split_keys(grid, hits, p_threshold, j, step, row, rows[:, 4]) > 0
+
+    def test_averaged_threshold_at_a_value(self, per_point):
+        grid, _, _, (mean, min_p, _) = per_point
+        hit = (mean > 0.75) & (min_p > 0.15)
+        median_mean, median_p, split = float(np.median(mean[hit])), float(np.median(min_p[hit])), 0
+        for p_threshold, avg_threshold, metric, threshold in [
+            (0.15, median_mean, mean, median_mean),
+            (median_p, 0.75, min_p, median_p),
+        ]:
+            j, r = np.nonzero(((mean > avg_threshold) & (min_p > p_threshold)).T)
+            hits = list(grid_search(grid, self.STEPS, SearchMode.AVERAGED_HIGH,
+                                    p_threshold=p_threshold, avg_threshold=avg_threshold))
+            steps = np.full(j.size, self.STEPS)
+            split += self.count_split_keys(grid, hits, threshold, j, steps, r, metric[r, j])
+        assert split > 0
 
     def test_averaged_hits(self, per_point):
         grid, points, _, (mean, min_p, last_n) = per_point
