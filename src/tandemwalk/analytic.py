@@ -51,24 +51,24 @@ class Step2State:
         return np.array([self.coeff_plus, self.coeff_minus]) / np.sqrt(p)
 
 
+def _terms(coin: CoinOperator, shift: ShiftOperator):
+    """(w, stay, flip, alpha, beta) = (e^{-i(theta+eta)}, sqrt(rho),
+    sqrt(1-rho), alpha, beta), the terms of every closed form below."""
+    w = phase_factor(-(coin.theta + coin.eta))
+    return w, np.sqrt(coin.rho), np.sqrt(1.0 - coin.rho), shift.alpha, shift.beta
+
+
 def phi1(coin: CoinOperator, shift: ShiftOperator) -> tuple[complex, complex]:
     """Amplitudes of |up>(x)|1,1> and |down>(x)|-1,-1> after one step."""
-    w = phase_factor(-(coin.theta + coin.eta))
-    stay = np.sqrt(coin.rho)
-    flip = np.sqrt(1.0 - coin.rho)
-    beta = shift.beta
-    up = shift.alpha * stay - beta * flip * w
-    down = -(beta.conjugate() * stay + shift.alpha * flip * w)
+    w, stay, flip, alpha, beta = _terms(coin, shift)
+    up = alpha * stay - beta * flip * w
+    down = -(beta.conjugate() * stay + alpha * flip * w)
     return complex(up), complex(down)
 
 
 def psi_up_2(coin: CoinOperator, shift: ShiftOperator) -> Step2State:
     """Unnormalized position state after two steps and an up measurement."""
-    w = phase_factor(-(coin.theta + coin.eta))
-    stay = np.sqrt(coin.rho)
-    flip = np.sqrt(1.0 - coin.rho)
-    beta = shift.beta
-    alpha = shift.alpha
+    w, stay, flip, alpha, beta = _terms(coin, shift)
     branch = alpha * stay - beta * flip * w
     coeff_plus = branch * branch
     coeff_minus = -phase_factor(-2.0 * coin.eta) * abs(alpha * flip + beta * stay * w) ** 2
@@ -84,10 +84,8 @@ def psi_down_2(coin: CoinOperator, shift: ShiftOperator) -> Step2State:
     shift parameters: a down measurement at the second step yields a
     maximally entangled two-term state whenever it can occur at all.
     """
-    w = phase_factor(-(coin.theta + coin.eta))
+    w, _, _, alpha, beta = _terms(coin, shift)
     cross = np.sqrt(coin.rho * (1.0 - coin.rho))
-    alpha = shift.alpha
-    beta = shift.beta
     bconj = beta.conjugate()
     rho = coin.rho
     coeff_zero = (
@@ -117,10 +115,7 @@ def max_condition_up(
     |alpha sqrt(1-rho) + beta sqrt(rho) e^{-i(theta+eta)}|, i.e. iff the
     two coefficients of the up-collapsed step-2 state have equal moduli.
     """
-    w = phase_factor(-(coin.theta + coin.eta))
-    stay = np.sqrt(coin.rho)
-    flip = np.sqrt(1.0 - coin.rho)
-    beta = shift.beta
-    lhs = abs(shift.alpha * stay - beta * flip * w)
-    rhs = abs(shift.alpha * flip + beta * stay * w)
+    w, stay, flip, alpha, beta = _terms(coin, shift)
+    lhs = abs(alpha * stay - beta * flip * w)
+    rhs = abs(alpha * flip + beta * stay * w)
     return bool(abs(lhs - rhs) < atol)

@@ -29,7 +29,7 @@ from .core import (
     step,
     verify_shift_unitarity,
 )
-from .entanglement import _series
+from .entanglement import _metric_series
 from .sweep import (
     MAXIMAL_ATOL,
     CoinFamily,
@@ -106,16 +106,6 @@ def _resolve_workers(value: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Spin):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    return str(value)
-
-
 def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
@@ -135,11 +125,11 @@ def _write_csv(path, meta: dict, header: list[str], rows) -> int:
 def _emit(stream, meta: dict, header: list[str], rows) -> int:
     stream.write(f"# tandemwalk {__version__}\n")
     for key, value in meta.items():
-        stream.write(f"# {key}={_fmt(value)}\n")
-    stream.write(",".join(header) + "\n")
+        stream.write(f"# {key}={value}\n")
+    stream.write(",".join(map(str, header)) + "\n")
     count = 0
-    for row in rows:
-        stream.write(",".join(_fmt(x) for x in row) + "\n")
+    for row in rows:  # str(float) is the shortest repr that reads back exactly
+        stream.write(",".join(map(str, row)) + "\n")
         count += 1
     return count
 
@@ -207,11 +197,14 @@ def _build_operators(args) -> tuple[CoinOperator, ShiftOperator]:
     return coin, ShiftOperator(alpha=args.alpha, beta_arg=args.beta_arg)
 
 
-def _operator_meta(args) -> dict:
+def _operator_meta(args, swept: str | None = None) -> dict:
+    """Coin and shift parameters that shaped the rows; a sweep's swept
+    parameter takes the grid's values, not its flag's."""
     meta = {"coin": args.coin}
     if args.coin == "general":
         meta.update(rho=args.rho, theta=args.theta, eta=args.eta)
     meta.update(alpha=args.alpha, beta_arg=args.beta_arg)
+    meta.pop(swept, None)
     return meta
 
 
@@ -221,15 +214,14 @@ def _operator_meta(args) -> dict:
 
 def cmd_evolve(args) -> int:
     coin, shift = _build_operators(args)
-    outcomes = _parse_outcomes(args.outcome)
-    records = _series(coin, shift, args.steps, outcomes)
-    rows = []
-    for outcome in outcomes:
-        for r in records[outcome]:
-            rows.append(
-                (r.step, outcome, r.probability, r.term_count, r.entropy, r.normalized)
-            )
-    rows.sort(key=lambda row: (row[0], row[1].value))
+    outcomes = _parse_outcomes(args.outcome)  # down before up, the row order
+    series = _metric_series(coin.matrix()[None], shift.matrix()[None], args.steps)
+    steps = zip(*(column[:, :, 0].tolist() for column in series))  # each by Spin.row
+    rows = (
+        (n, outcome, *(values[outcome.row] for values in metrics))
+        for n, metrics in enumerate(steps, start=1)
+        for outcome in outcomes
+    )
     meta = {"command": "evolve", **_operator_meta(args)}
     meta.update(steps=args.steps, outcome=args.outcome, term_threshold=TERM_THRESHOLD)
     _write_csv(args.out, meta, ["step", "outcome", "P", "N", "E_bits", "normalized_E"], rows)
@@ -326,7 +318,7 @@ def cmd_sweep(args) -> int:
             mode=SweepMode(args.mode),
         )
         header, rows = sweep_1d(spec)
-        meta = {"command": "sweep", **_operator_meta(args)}
+        meta = {"command": "sweep", **_operator_meta(args, args.sweep)}
         meta.update(
             sweep=args.sweep,
             start=args.start,

@@ -132,6 +132,9 @@ class Spin(Enum):
     UP = "up"
     DOWN = "down"
 
+    def __str__(self) -> str:
+        return self.value
+
     @property
     def row(self) -> int:
         """Index of this spin in the engine's (2, B, n + 1) amplitude arrays."""

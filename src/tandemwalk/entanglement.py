@@ -7,7 +7,9 @@ the term threshold, so a value of 1 always means "maximal for the number
 of terms present".  The averaged measure is the mean of the normalized
 values over steps 2..n of a walk, evaluated as if an independent copy of
 the walk were measured at each step.  Every measure here is computed by
-`core.collapse_metrics`, the same function the batch searches use.
+`core.collapse_metrics`.  The per-step series (`_metric_series`) and the
+average (`_averaged`) live here alone, over a batch of walks: the public
+functions run a batch of one, and `sweep` and the CLI index the same arrays.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 from .core import (
     CoinOperator,
+    CollapseMetrics,
     ShiftOperator,
     Spin,
     collapse_metrics,
@@ -98,25 +101,61 @@ class AveragedEntanglement:
     value: float
 
 
-def _series(coin, shift, n_steps, outcomes):
-    """One evolution, hypothetical collapses at every step for each outcome."""
-    u, v = coin.matrix()[None], shift.matrix()[None]
-    steps = [collapse_metrics(amps[:, 0]) for _, amps in walk_batch(u, v, n_steps)]
-    records = {}
-    for outcome in outcomes:
-        row = outcome.row
-        records[outcome] = [
-            EntanglementRecord(
-                step=n,
-                outcome=outcome,
-                probability=float(m.probability[row]),
-                term_count=int(m.term_count[row]),
-                entropy=float(m.entropy[row]),
-                normalized=float(m.normalized[row]),
-            )
-            for n, m in enumerate(steps, start=1)
-        ]
-    return records
+def _metric_series(u, v, n_steps: int) -> CollapseMetrics:
+    """`collapse_metrics` after each of steps 1..n_steps of the walks of the
+    (B, 2, 2) coin and shift stacks u and v, each field stacked into an
+    (n_steps, 2, B) array indexed by step - 1, `Spin.row`, then walk."""
+    series = CollapseMetrics([], [], [], [])
+    for _, amps in walk_batch(u, v, n_steps):
+        for column, values in zip(series, collapse_metrics(amps)):
+            column.append(values)
+    return CollapseMetrics(*(np.reshape(column, (n_steps, 2, u.shape[0])) for column in series))
+
+
+def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
+    """Mean normalized E over steps 2..n_steps (n_steps >= 2), the least P
+    over those steps and the last step's N of the walks that can still
+    have a mean above avg_threshold with every P above p_threshold.
+
+    Returns (walks, mean, min_p, last_n): the indices of those walks in
+    the batch, ascending, then one (2, len(walks)) array each by
+    `Spin.row`.  From step 2 on, a (walk, spin) row is dead once its
+    least P is at most p_threshold, or once its mean could not exceed
+    avg_threshold even if every remaining step reached the cap 1 of
+    `normalized_ratio`.  A walk whose rows are both dead leaves the
+    batch, so the later steps only pay for the others; their numbers
+    are the same as in a batch that dropped nothing.  The defaults drop
+    no walk.
+    """
+    walks = np.arange(u.shape[0])
+    total, min_p = np.zeros((2, walks.size)), np.ones((2, walks.size))
+    # the slack keeps summation rounding from dropping a mean just above avg_threshold
+    floor = avg_threshold * (n_steps - 1) - 1e-9
+    steps, keep = walk_batch(u, v, n_steps), None
+    for a in range(1, n_steps + 1):
+        _, amps = steps.send(keep)
+        keep = None
+        if a < 2:  # one step leaves one term and is left out of the average
+            continue
+        metrics = collapse_metrics(amps)
+        total += metrics.normalized
+        np.minimum(min_p, metrics.probability, out=min_p)
+        last_n = metrics.term_count
+        live = ((min_p > p_threshold) & (total + (n_steps - a) > floor)).any(axis=0)
+        if not live.all():
+            keep = live
+            walks, total, min_p = walks[keep], total[:, keep], min_p[:, keep]
+            last_n = last_n[:, keep]
+            if not walks.size:
+                break
+    return walks, total / (n_steps - 1), min_p, last_n
+
+
+def _batch_of_one(coin: CoinOperator, shift: ShiftOperator, n_steps: int):
+    """U and V of one walk as (1, 2, 2) stacks, once n_steps >= 2 is checked."""
+    if n_steps < 2:
+        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
+    return coin.matrix()[None], shift.matrix()[None]
 
 
 def walk_entanglement_series(
@@ -131,9 +170,12 @@ def walk_entanglement_series(
     measurement on an independent copy stopped at that step, which is
     what evolving a fresh replica per step would produce.
     """
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
-    return _series(coin, shift, n_steps, (outcome,))[outcome]
+    series = _metric_series(*_batch_of_one(coin, shift, n_steps), n_steps)
+    columns = (column[:, outcome.row, 0].tolist() for column in series)
+    return [
+        EntanglementRecord(n, outcome, *values)
+        for n, values in enumerate(zip(*columns), start=1)
+    ]
 
 
 def averaged_entanglement(
@@ -148,6 +190,6 @@ def averaged_entanglement(
     state and would only dilute the average.  Steps where the outcome has
     zero probability contribute 0.
     """
-    records = walk_entanglement_series(coin, shift, n_steps, outcome)
-    value = sum(r.normalized for r in records[1:]) / (n_steps - 1)
+    mean = _averaged(*_batch_of_one(coin, shift, n_steps), n_steps)[1]
+    value = float(mean[outcome.row, 0])
     return AveragedEntanglement(n_steps=n_steps, outcome=outcome, value=value)

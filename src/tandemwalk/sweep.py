@@ -10,11 +10,14 @@ arrays: points with equal keys have equal metrics (`_key_walks`), and
 cuts the product into chunks of consecutive points, sized so memory
 stays bounded, and builds each chunk's U and V; the reducer evolves the
 chunk through the one walk engine in `core` (`walk_batch` with
-`collapse_metrics`) into rows or hits.  The averaged grid search drops,
-between steps, the walks that can no longer become hits.  Grid-search
-chunks can also go to worker processes; chunk boundaries depend only on
-the grid, never on the worker count, so output order and content are
-identical for any parallelism.
+`collapse_metrics`) into rows or hits.  Sweep rows index the per-step
+series and the average of `entanglement` (`_metric_series`,
+`_averaged`), the same code the single-walk functions run; the averaged
+grid search runs that average too and drops, between steps, the walks
+that can no longer become hits.  Grid-search chunks can also go to
+worker processes; chunk boundaries depend only on the grid, never on
+the worker count, so output order and content are identical for any
+parallelism.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +40,7 @@ from .core import (
     walk_batch,
     z_coin,
 )
+from .entanglement import _averaged, _metric_series
 
 __all__ = [
     "MAXIMAL_ATOL",
@@ -253,7 +257,7 @@ def _auto_chunk(n_steps: int) -> int:
     return max(4096, (1 << 21) // (n_steps + 1))
 
 
-def _scan(axes, n_steps, reduce, *args, workers=1, chunk_size=None) -> Iterator:
+def _scan(axes, n_steps, reduce, *args, workers=1) -> Iterator:
     """Yield `(start, reduce(params, u, v, n_steps, *args))` for each chunk
     of the product of `axes`, in order; start is the flat index of the
     chunk's first point.
@@ -262,12 +266,12 @@ def _scan(axes, n_steps, reduce, *args, workers=1, chunk_size=None) -> Iterator:
     (size, k); the product's rows are the five parameters in
     `PARAM_RANGES` order, the last axis running fastest.  params are the
     chunk's five parameter columns and u, v its (B, 2, 2) coin and shift
-    matrices.  Chunks hold chunk_size points (default `_auto_chunk`).
-    workers > 1 spreads them over that many processes, capped at the
-    chunk count, so one chunk starts none.
+    matrices.  Chunks hold `_auto_chunk` points.  workers > 1 spreads
+    them over that many processes, capped at the chunk count, so one
+    chunk starts none.
     """
     total = int(np.prod([len(axis) for axis in axes]))
-    chunk = chunk_size or _auto_chunk(n_steps)
+    chunk = _auto_chunk(n_steps)
     tasks = [
         (axes, start, min(start + chunk, total), n_steps, reduce, args)
         for start in range(0, total, chunk)
@@ -291,45 +295,6 @@ def _scan_chunk(task):
     return start, reduce(params, u, v, n_steps, *args)
 
 
-def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
-    """Mean normalized E over steps 2..n_steps (n_steps >= 2), the least P
-    over those steps and the last step's N of the walks that can still
-    have a mean above avg_threshold with every P above p_threshold.
-
-    Returns (walks, mean, min_p, last_n): the indices of those walks in
-    the batch, ascending, then one (2, len(walks)) array each by
-    `Spin.row`.  From step 2 on, a (walk, spin) row is dead once its
-    least P is at most p_threshold, or once its mean could not exceed
-    avg_threshold even if every remaining step reached the cap 1 of
-    `normalized_ratio`.  A walk whose rows are both dead leaves the
-    batch, so the later steps only pay for the others; their numbers
-    are the same as in a batch that dropped nothing.  The defaults drop
-    no walk.
-    """
-    walks = np.arange(u.shape[0])
-    total, min_p = np.zeros((2, walks.size)), np.ones((2, walks.size))
-    # the slack keeps summation rounding from dropping a mean just above avg_threshold
-    floor = avg_threshold * (n_steps - 1) - 1e-9
-    steps, keep = walk_batch(u, v, n_steps), None
-    for a in range(1, n_steps + 1):
-        _, amps = steps.send(keep)
-        keep = None
-        if a < 2:  # one step leaves one term and is left out of the average
-            continue
-        metrics = collapse_metrics(amps)
-        total += metrics.normalized
-        np.minimum(min_p, metrics.probability, out=min_p)
-        last_n = metrics.term_count
-        live = ((min_p > p_threshold) & (total + (n_steps - a) > floor)).any(axis=0)
-        if not live.all():
-            keep = live
-            walks, total, min_p = walks[keep], total[:, keep], min_p[:, keep]
-            last_n = last_n[:, keep]
-            if not walks.size:
-                break
-    return walks, total / (n_steps - 1), min_p, last_n
-
-
 def _averaged_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
     """Sweep rows (value, outcome, mean normalized E), by walk then outcome."""
     mean = _averaged(u, v, n_steps)[1]
@@ -343,8 +308,7 @@ def _averaged_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
 def _per_step_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
     """Sweep rows (value, outcome, step, P, N, E, normalized E), by walk,
     then outcome, then step."""
-    steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n_steps)]
-    columns = [np.stack(column) for column in zip(*steps)]  # each (n, 2, B)
+    columns = _metric_series(u, v, n_steps)
     rows = []
     for j, value in enumerate(params[swept].tolist()):
         for outcome in outcomes:
@@ -459,7 +423,6 @@ def grid_search(
     avg_threshold: float = 0.99,
     maximal_atol: float = MAXIMAL_ATOL,
     workers: int | None = None,
-    chunk_size: int | None = None,
 ) -> Iterator[MaxEntanglementHit]:
     """Scan the full (rho, theta, eta, alpha, beta_arg) grid, streaming hits.
 
@@ -478,7 +441,7 @@ def grid_search(
     the key's points; floats can differ from a walk at the point in the
     last digit.  Hits stream in grid order (then step, then up before
     down).  The scan is chunked, so memory stays bounded for any grid
-    size; chunk_size and workers count key walks: workers > 1 spreads
+    size; chunks and workers count key walks: workers > 1 spreads
     chunks over up to that many processes (no more than there are
     chunks; a single chunk starts no process).  Arguments are checked on
     the call, before the first hit is asked for.
@@ -495,7 +458,7 @@ def grid_search(
     else:
         reduce, args = _averaged_hits, (p_threshold, avg_threshold)
     walk_axes, key, n_keys = _key_walks(axes)
-    scan = _scan(walk_axes, n_steps, reduce, *args, workers=workers or 1, chunk_size=chunk_size)
+    scan = _scan(walk_axes, n_steps, reduce, *args, workers=workers or 1)
     return _fan_out(axes, key, n_keys, scan)
 
 

@@ -1,7 +1,20 @@
+import numpy as np
 import pytest
 
 import tandemwalk.cli as cli
-from tandemwalk import BALANCED_ALPHA
+from tandemwalk import (
+    BALANCED_ALPHA,
+    CoinFamily,
+    CoinOperator,
+    SearchMode,
+    ShiftOperator,
+    Spin,
+    SweepMode,
+    SweepSpec,
+    grid_search,
+    sweep_1d,
+    walk_entanglement_series,
+)
 from tandemwalk.cli import main
 
 
@@ -232,6 +245,23 @@ class TestSweep:
         assert "figure" in err or "sweep" in err
 
 
+    def test_swept_parameter_not_echoed(self, capsys):
+        grid = ["--start", "0", "--stop", "1", "--step", "0.5", "--steps", "4"]
+        general = ["--coin", "general", "--rho", "0.5", "--theta", "0.2"]
+        cases = [  # swept, flags, echo lines that must stay
+            ("eta", general, ["# rho=0.5", "# theta=0.2", "# alpha=0.7071067811865476"]),
+            ("alpha", [], ["# coin=hadamard", "# beta_arg=0.0"]),  # the default alpha
+            ("rho", [*general, "--eta", "0.4"], ["# theta=0.2", "# eta=0.4"]),  # --rho unused
+        ]
+        for swept, argv, kept in cases:
+            code, out, _ = run(capsys, "sweep", *argv, "--sweep", swept, *grid)
+            assert code == 0
+            meta = [line for line in out.splitlines() if line.startswith("# ")]
+            assert not [line for line in meta if line.startswith(f"# {swept}=")], swept
+            assert "None" not in out
+            assert f"# sweep={swept}" in meta and set(kept) <= set(meta), swept
+
+
 class TestSweepBound:
     def test_too_fine_a_step_exits_2(self, capsys):
         code, out, err = run(
@@ -459,3 +489,83 @@ class TestExitCodes:
         code, out, err = run(capsys, "search", "--coin", "z", "--steps", "4", "--out", str(missing))
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ") and "internal" not in err and "hits.csv" in err
+
+
+def assert_rows_match(text_rows, rows):
+    """CSV fields against library rows: floats read back to the same
+    float, spins as their value, everything else as its str."""
+    assert len(text_rows) == len(rows)
+    for text, row in zip(text_rows, rows):
+        assert len(text) == len(row)
+        for field, value in zip(text, row):
+            if isinstance(value, float):
+                assert float(field) == value, (text, row)
+            elif isinstance(value, Spin):
+                assert field == value.value, (text, row)
+            else:
+                assert field == str(value), (text, row)
+
+
+class TestRowsMatchTheLibrary:
+    """Every CLI row is the library's row, in the same order."""
+
+    def test_evolve_both_outcomes(self, capsys):
+        argv = ["--coin", "general", "--rho", "0.3", "--theta", "0.7", "--eta", "1.1",
+                "--alpha", "0.4", "--beta-arg", "2.1", "--steps", "40", "--outcome", "both"]
+        code, out, _ = run(capsys, "evolve", *argv)
+        assert code == 0
+        coin = CoinOperator(rho=0.3, theta=0.7, eta=1.1)
+        shift = ShiftOperator(alpha=0.4, beta_arg=2.1)
+        down, up = (walk_entanglement_series(coin, shift, 40, s) for s in (Spin.DOWN, Spin.UP))
+        expected = [
+            (r.step, r.outcome, r.probability, r.term_count, r.entropy, r.normalized)
+            for pair in zip(down, up)
+            for r in pair
+        ]
+        assert_rows_match(parse_csv(out)[1], expected)
+
+    def test_per_step_general_sweep(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--coin", "general", "--rho", "0.3", "--theta", "0.2",
+            "--eta", "0.5", "--beta-arg", "1.2", "--sweep", "alpha", "--start", "0.1",
+            "--stop", "0.9", "--step", "0.2", "--steps", "8", "--mode", "per-step",
+        )
+        assert code == 0
+        fixed = {"rho": 0.3, "theta": 0.2, "eta": 0.5, "beta_arg": 1.2}
+        spec = SweepSpec(
+            CoinFamily.GENERAL, "alpha", 0.1, 0.9, 0.2, 8, fixed, mode=SweepMode.PER_STEP
+        )
+        header, rows = sweep_1d(spec)
+        assert parse_csv(out)[0] == header
+        assert_rows_match(parse_csv(out)[1], rows)
+
+    def test_fig5(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--figure", "fig5", "--steps", "6")
+        assert code == 0
+        expected = []
+        for alpha in (BALANCED_ALPHA, 0.37):
+            spec = SweepSpec(
+                CoinFamily.KEMPE, "beta_arg", 0.0, 2 * float(np.pi), 0.005, 6,
+                fixed={"alpha": alpha},
+            )
+            expected.extend((row[0], alpha, *row[1:]) for row in sweep_1d(spec)[1])
+        assert_rows_match(parse_csv(out)[1], expected)
+
+    @pytest.mark.parametrize(
+        "argv, mode, kwargs",
+        [
+            (["--mode", "isolated", "--steps", "10"], SearchMode.ISOLATED_MAX, {"n_steps": 10}),
+            (
+                ["--mode", "averaged", "--steps", "60", "--avg-min", "0.75"],
+                SearchMode.AVERAGED_HIGH,
+                {"n_steps": 60, "avg_threshold": 0.75},
+            ),
+        ],
+        ids=["isolated", "averaged"],
+    )
+    def test_search(self, capsys, argv, mode, kwargs):
+        code, out, _ = run(capsys, "search", "--grid", "0.6", "--workers", "1", *argv)
+        assert code == 0
+        hits = list(grid_search(0.6, mode=mode, **kwargs))
+        assert len(hits) > 1000
+        assert_rows_match(parse_csv(out)[1], hits)

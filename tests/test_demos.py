@@ -1,8 +1,4 @@
-"""Smoke test: each demo script runs to completion.
-
-isolated_maxima.py is left out: it takes about 20 s, and the grid_search
-and find_max_cases calls it makes are covered in test_sweep.
-"""
+"""Smoke test: each demo script runs to completion."""
 
 import os
 import subprocess
@@ -12,7 +8,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["walk_anatomy.py", "averaged_vs_alpha.py", "single_walk_series.py", "phase_structure.py"]
+DEMOS = [
+    "walk_anatomy.py",
+    "averaged_vs_alpha.py",
+    "single_walk_series.py",
+    "phase_structure.py",
+    "isolated_maxima.py",
+]
 
 
 @pytest.mark.parametrize("name", DEMOS)

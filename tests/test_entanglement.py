@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from tandemwalk import (
+    CoinFamily,
     CoinOperator,
     ShiftOperator,
     Spin,
+    SweepSpec,
     averaged_entanglement,
     balanced_shift,
     entropy,
@@ -13,6 +15,7 @@ from tandemwalk import (
     measure_spin,
     normalized_entanglement,
     psi_down_2,
+    sweep_1d,
     term_count,
     walk_entanglement_series,
     z_coin,
@@ -212,3 +215,18 @@ class TestAveraged:
         avg = averaged_entanglement(coin, shift, 30, Spin.UP)
         assert abs(avg.value - np.mean([r.normalized for r in series[1:]])) < 1e-12
         assert 0.0 <= avg.value <= 1.0
+
+    def test_equals_the_sweep_row_to_the_bit(self):
+        """One walk and a sweep's batch run the same average."""
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            rho, theta, eta = (float(x) for x in rng.uniform(0, 1, 3) * [1, np.pi, np.pi])
+            beta_arg = float(rng.uniform(0, 2 * np.pi))
+            n = int(rng.integers(2, 60))
+            fixed = {"rho": rho, "theta": theta, "eta": eta, "beta_arg": beta_arg}
+            _, rows = sweep_1d(SweepSpec(CoinFamily.GENERAL, "alpha", 0.0, 1.0, 0.125, n, fixed))
+            assert len(rows) == 2 * 10  # nine grid values and the balanced alpha
+            coin = CoinOperator(rho=rho, theta=theta, eta=eta)
+            for alpha, outcome, value in rows:
+                shift = ShiftOperator(alpha=alpha, beta_arg=beta_arg)
+                assert averaged_entanglement(coin, shift, n, Spin(outcome)).value == value

@@ -19,7 +19,8 @@ from tandemwalk import (
     normalized_entanglement,
     sweep_1d,
 )
-from tandemwalk.sweep import PARAM_RANGES, MaxEntanglementHit, _averaged, family_coin
+from tandemwalk.entanglement import _averaged
+from tandemwalk.sweep import PARAM_RANGES, MaxEntanglementHit, family_coin
 from tandemwalk.core import (
     CoinOperator,
     ShiftOperator,
@@ -320,24 +321,18 @@ class TestGridSearch:
         )
         assert serial == parallel
 
-    def test_pool_of_two_matches_serial(self):
+    def test_pool_of_two_matches_serial(self, monkeypatch):
         serial = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=1))
-        pooled = list(
-            grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2, chunk_size=2000)
-        )
+        # the 234 key walks of grid 0.5 in chunks of 60 make four tasks, so a real pool runs
+        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 60)
+        pooled = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2))
         assert serial == pooled
 
-    def test_chunk_size_does_not_change_output(self):
-        small = list(
-            grid_search(
-                grid_step=0.5, n_steps=5, mode=SearchMode.ISOLATED_MAX, chunk_size=17
-            )
-        )
-        large = list(
-            grid_search(
-                grid_step=0.5, n_steps=5, mode=SearchMode.ISOLATED_MAX, chunk_size=100000
-            )
-        )
+    def test_chunk_size_does_not_change_output(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 17)
+        small = list(grid_search(grid_step=0.5, n_steps=5, mode=SearchMode.ISOLATED_MAX))
+        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 100000)
+        large = list(grid_search(grid_step=0.5, n_steps=5, mode=SearchMode.ISOLATED_MAX))
         assert small == large
 
     def test_averaged_mode_returns_no_easy_hits(self):
@@ -370,10 +365,13 @@ class TestGridSearch:
         monkeypatch.setattr(multiprocessing, "get_context", lambda: FakeContext())
         serial = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=1))
         # the 7488 grid points have 234 keys, whose walks in chunks of 60 make four tasks
-        capped = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=64, chunk_size=60))
+        default_chunk = sweep._auto_chunk
+        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 60)
+        capped = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=64))
         assert started == [4]
-        two = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2, chunk_size=60))
+        two = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2))
         assert started == [4, 2]
+        monkeypatch.setattr(sweep, "_auto_chunk", default_chunk)
         single_task = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=8))
         assert started == [4, 2]  # one chunk: no pool at all
         assert serial == capped == two == single_task
@@ -441,7 +439,7 @@ class TestAveragedPruning:
             for j, r in zip(*np.nonzero(hit.T))
         ]
 
-    def test_hits_equal_an_unpruned_run_at_the_edge_thresholds(self, reference):
+    def test_hits_equal_an_unpruned_run_at_the_edge_thresholds(self, reference, monkeypatch):
         base = self._expected(reference, 0.15, 0.75)
         assert len(base) > 100
         means = [h.normalized for h in base]
@@ -452,15 +450,18 @@ class TestAveragedPruning:
             (min(probs) - 1e-15, 0.75),
             (float(np.median(probs)), 0.75),
         ]
+        default_chunk = sweep._auto_chunk
         for p_threshold, avg_threshold in thresholds:
             expected = self._expected(reference, p_threshold, avg_threshold)
             assert expected
             for chunk_size in (None, 97):  # 198 key walks: one chunk, then three
+                chunk = default_chunk if chunk_size is None else lambda n_steps: chunk_size
+                monkeypatch.setattr(sweep, "_auto_chunk", chunk)
                 for workers in (1, 2):
                     hits = list(grid_search(
                         self.GRID, self.STEPS, SearchMode.AVERAGED_HIGH,
                         p_threshold=p_threshold, avg_threshold=avg_threshold,
-                        workers=workers, chunk_size=chunk_size,
+                        workers=workers,
                     ))
                     assert hits == expected, (p_threshold, avg_threshold, chunk_size, workers)
 
