@@ -3,12 +3,17 @@
 Output is plain CSV preceded by '#'-prefixed metadata lines (tool
 version, parameter echo, tolerances), so every file documents how it was
 produced.  Rows are emitted in deterministic grid order and never depend
-on the worker count.
+on the worker count.  Every field is the `str` of its value, and `_emit`
+writes rows a block of text at a time: a row per block for walks and
+sweeps, a fan-out piece per block for searches, whose axis values and
+key hits are each formatted once per search or piece and joined into
+rows.
 """
 
 import argparse
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -31,14 +36,14 @@ from .core import (
 )
 from .entanglement import _metric_series
 from .sweep import (
+    _SPINS,
     MAXIMAL_ATOL,
     CoinFamily,
     SearchMode,
     SweepMode,
     SweepSpec,
+    _search,
     family_coin,
-    find_max_cases,
-    grid_search,
     sweep_1d,
 )
 
@@ -112,26 +117,34 @@ def _open_out(path):
     return open(path, "w"), True
 
 
-def _write_csv(path, meta: dict, header: list[str], rows) -> int:
-    """Write metadata, header and rows to path (or standard output)."""
+def _write_csv(path, meta: dict, header: list[str], blocks) -> int:
+    """Write metadata, header and row blocks to path (or standard output)."""
     stream, close = _open_out(path)
     try:
-        return _emit(stream, meta, header, rows)
+        return _emit(stream, meta, header, blocks)
     finally:
         if close:
             stream.close()
 
 
-def _emit(stream, meta: dict, header: list[str], rows) -> int:
+def _emit(stream, meta: dict, header: list[str], blocks) -> int:
+    """Write metadata, header and each block, a (text, row count) pair, in
+    one write; return the row count."""
     stream.write(f"# tandemwalk {__version__}\n")
     for key, value in meta.items():
         stream.write(f"# {key}={value}\n")
     stream.write(",".join(map(str, header)) + "\n")
     count = 0
-    for row in rows:  # str(float) is the shortest repr that reads back exactly
-        stream.write(",".join(map(str, row)) + "\n")
-        count += 1
+    for text, rows in blocks:
+        stream.write(text)
+        count += rows
     return count
+
+
+def _lines(rows):
+    """One block per row of values, its fields joined as their `str`;
+    str(float) is the shortest repr that reads back exactly."""
+    return ((",".join(map(str, row)) + "\n", 1) for row in rows)
 
 
 def _merge_config(argv: list[str]) -> list[str]:
@@ -224,7 +237,8 @@ def cmd_evolve(args) -> int:
     )
     meta = {"command": "evolve", **_operator_meta(args)}
     meta.update(steps=args.steps, outcome=args.outcome, term_threshold=TERM_THRESHOLD)
-    _write_csv(args.out, meta, ["step", "outcome", "P", "N", "E_bits", "normalized_E"], rows)
+    header = ["step", "outcome", "P", "N", "E_bits", "normalized_E"]
+    _write_csv(args.out, meta, header, _lines(rows))
     return 0
 
 
@@ -329,12 +343,28 @@ def cmd_sweep(args) -> int:
             mode=args.mode,
             term_threshold=TERM_THRESHOLD,
         )
-    _write_csv(args.out, meta, header, rows)
+    _write_csv(args.out, meta, header, _lines(rows))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # search
+
+
+def _search_blocks(axes, pieces):
+    """One block per search piece.  Each axis value, and each key hit a
+    piece uses, is formatted once as the `str` of the value a
+    `MaxEntanglementHit` holds, and one join of those texts makes the
+    piece's rows."""
+    labels = [np.array([str(x) + "," for x in axis.tolist()], dtype=object) for axis in axes]
+    for subs, hits, columns in pieces:
+        used, inverse = np.unique(hits, return_inverse=True)
+        step, rows, *metrics = (column[used].tolist() for column in columns)
+        spins = [_SPINS[r] for r in rows]
+        tails = [",".join(map(str, hit)) + "\n" for hit in zip(step, spins, *metrics)]
+        fields = [label[sub].tolist() for label, sub in zip(labels, subs)]
+        fields.append(np.array(tails, dtype=object)[inverse].tolist())
+        yield "".join(chain.from_iterable(zip(*fields))), hits.size
 
 
 def cmd_search(args) -> int:
@@ -363,24 +393,11 @@ def cmd_search(args) -> int:
     if mode is SearchMode.AVERAGED_HIGH:
         meta["avg_min"] = args.avg_min
 
-    if family is CoinFamily.GENERAL:
-        hits = grid_search(
-            grid_step=args.grid,
-            n_steps=args.steps,
-            mode=mode,
-            p_threshold=args.p_min,
-            avg_threshold=args.avg_min,
-            maximal_atol=args.maximal_atol,
-            workers=workers,
-        )
-    else:
-        if mode is not SearchMode.ISOLATED_MAX:
-            raise ValueError("averaged search scans the general coin only")
-        hits = find_max_cases(
-            family, n_max=args.steps, p_threshold=args.p_min, maximal_atol=args.maximal_atol
-        )
-
-    count = _write_csv(args.out, meta, header, hits)  # hit fields are the columns
+    axes, pieces = _search(  # checks the arguments before --out is opened
+        family, mode, args.steps, args.p_min, args.maximal_atol,
+        avg_threshold=args.avg_min, grid_step=args.grid, workers=workers,
+    )
+    count = _write_csv(args.out, meta, header, _search_blocks(axes, pieces))
     print(f"{count} hits", file=sys.stderr)
     return 0
 
@@ -520,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve = sub.add_parser("evolve", help="run one walk, emit per-step entanglement")
     _add_common(p_evolve)
     _add_operator_args(p_evolve)
-    p_evolve.add_argument("--steps", type=int, default=200)
+    p_evolve.add_argument("--steps", type=_positive_int, default=200)
     p_evolve.add_argument("--outcome", choices=["up", "down", "both"], default="both")
     p_evolve.set_defaults(func=cmd_evolve)
 

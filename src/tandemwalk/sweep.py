@@ -6,7 +6,10 @@ plus a reducer.  A sweep is four one-value axes and the swept one, a
 catalog is the named coin's three values and its alpha and beta_arg
 grids.  A grid search scans one walk per key of its five `grid_axis`
 arrays: points with equal keys have equal metrics (`_key_walks`), and
-`_fan_out` hands each key's hits to its points in grid order.  The scan
+`_fan_out` hands each key's hits to its points in grid order, a piece
+at a time, as index arrays.  `grid_search` and `find_max_cases` turn
+the pieces of `_search` into `MaxEntanglementHit` tuples; the CLI turns
+the same pieces into CSV text.  The scan
 cuts the product into chunks of consecutive points, sized so memory
 stays bounded, and builds each chunk's U and V; the reducer evolves the
 chunk through the one walk engine in `core` (`walk_batch` with
@@ -252,6 +255,11 @@ class MaxEntanglementHit(NamedTuple):
 _SPINS = tuple(sorted(Spin, key=lambda spin: spin.row))
 
 
+#: points per fan-out chunk, and about the hits per piece it is cut into;
+#: a search holds one piece's row texts at a time, so this bounds its memory
+_PIECE = 1 << 16
+
+
 def _auto_chunk(n_steps: int) -> int:
     # keep each (batch, n + 1) complex array around 32 MB
     return max(4096, (1 << 21) // (n_steps + 1))
@@ -360,35 +368,43 @@ def _averaged_hits(params, u, v, n_steps, p_threshold, avg_threshold):
     )
 
 
-def _fan_out(axes, key, n_keys, scan) -> Iterator[MaxEntanglementHit]:
-    """One `MaxEntanglementHit` per point of the grid `axes` and hit of its
-    key, in grid order; scan is `_scan` over one walk per key with
-    `_isolated_hits` or `_averaged_hits`, and key maps a chunk's index
-    arrays into the axes to keys.  Points go in chunks of 2^16, each cut
-    into pieces of about 2^16 hits; with no hit at all no point is
-    visited."""
+def _fan_out(axes, key, n_keys, scan) -> Iterator:
+    """Yield `(subs, hits, columns)` per piece of the grid `axes`: one entry
+    per point and hit of its key, in grid order.  subs index each axis at
+    the entry's point, hits index the key-hit columns (step, spin row,
+    normalized E, P, N), the whole arrays of which go out with every
+    piece.  scan is `_scan` over one walk per key with `_isolated_hits` or
+    `_averaged_hits`, and key maps a chunk's index arrays into the axes to
+    keys.  Points go in chunks of `_PIECE`, each cut into pieces of about
+    `_PIECE` hits; with no hit at all no point is visited."""
     found = [(start + walks, *rest) for start, (walks, *rest) in scan]
     if not any(walks.size for walks, *_ in found):
         return
-    keys, steps, rows, *metrics = (np.concatenate(column) for column in zip(*found))
+    keys, *columns = (np.concatenate(column) for column in zip(*found))
     counts = np.bincount(keys, minlength=n_keys)
     first = np.cumsum(counts) - counts
     shape = [axis.size for axis in axes]
-    total, chunk = int(np.prod(shape)), 1 << 16
-    for start in range(0, total, chunk):
-        subs = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+    total = int(np.prod(shape))
+    for start in range(0, total, _PIECE):
+        subs = np.unravel_index(np.arange(start, min(start + _PIECE, total)), shape)
         point_keys = key(subs)
         ends = np.cumsum(counts[point_keys])
-        cuts = [0, *(np.flatnonzero(np.diff(ends // chunk)) + 1).tolist(), ends.size]
+        cuts = [0, *(np.flatnonzero(np.diff(ends // _PIECE)) + 1).tolist(), ends.size]
         for lo, hi in zip(cuts, cuts[1:]):
             piece_keys = point_keys[lo:hi]
             n = counts[piece_keys]
             points = np.repeat(np.arange(lo, hi), n)
             hits = np.arange(points.size) + np.repeat(first[piece_keys] - (np.cumsum(n) - n), n)
-            params = [axis[sub[points]].tolist() for axis, sub in zip(axes, subs)]
-            step, spins = steps[hits].tolist(), [_SPINS[r] for r in rows[hits].tolist()]
-            columns = (column[hits].tolist() for column in metrics)
-            yield from map(MaxEntanglementHit._make, zip(*params, step, spins, *columns))
+            yield [sub[points] for sub in subs], hits, columns
+
+
+def _hits(axes, pieces) -> Iterator[MaxEntanglementHit]:
+    """The `MaxEntanglementHit` of each entry of `_fan_out`'s pieces."""
+    for subs, hits, (steps, rows, *metrics) in pieces:
+        params = [axis[sub].tolist() for axis, sub in zip(axes, subs)]
+        step, spins = steps[hits].tolist(), [_SPINS[r] for r in rows[hits].tolist()]
+        columns = (column[hits].tolist() for column in metrics)
+        yield from map(MaxEntanglementHit._make, zip(*params, step, spins, *columns))
 
 
 def _key_walks(axes):
@@ -443,28 +459,22 @@ def grid_search(
     down).  The scan is chunked, so memory stays bounded for any grid
     size; chunks and workers count key walks: workers > 1 spreads
     chunks over up to that many processes (no more than there are
-    chunks; a single chunk starts no process).  Arguments are checked on
-    the call, before the first hit is asked for.
+    chunks; a single chunk starts no process).  maximal_atol must lie in
+    (0, 1).  Arguments are checked on the call, before the first hit is
+    asked for.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
-    _check_search(n_steps, p_threshold)
-    if mode is SearchMode.AVERAGED_HIGH and not 0.0 <= avg_threshold < 1.0:
-        # normalized E is capped at 1, so no mean can exceed a threshold of 1 or more
-        raise ValueError(f"avg_threshold must lie in [0, 1), got {avg_threshold}")
-    axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
-    if mode is SearchMode.ISOLATED_MAX:
-        reduce, args = _isolated_hits, (p_threshold, maximal_atol)
-    else:
-        reduce, args = _averaged_hits, (p_threshold, avg_threshold)
-    walk_axes, key, n_keys = _key_walks(axes)
-    scan = _scan(walk_axes, n_steps, reduce, *args, workers=workers or 1)
-    return _fan_out(axes, key, n_keys, scan)
+    return _hits(*_search(
+        CoinFamily.GENERAL, mode, n_steps, p_threshold, maximal_atol,
+        avg_threshold=avg_threshold, grid_step=grid_step, workers=workers,
+    ))
 
 
-def _check_search(n_steps: int, p_threshold: float):
+def _check_search(n_steps: int, p_threshold: float, maximal_atol: float):
     if not 0.0 < p_threshold < 1.0:
         raise ValueError(f"p_threshold must lie in (0, 1), got {p_threshold}")
+    if not 0.0 < maximal_atol < 1.0:
+        # normalized E lies in [0, 1]: 0 or less finds nothing, 1 or more takes product states
+        raise ValueError(f"maximal_atol must lie in (0, 1), got {maximal_atol}")
     if n_steps < 2:
         raise ValueError(f"n_steps must be at least 2, got {n_steps}")
 
@@ -489,7 +499,49 @@ def find_max_cases(
     """
     if coin_family is CoinFamily.GENERAL:
         raise ValueError("find_max_cases catalogs a named coin; use grid_search")
-    _check_search(n_max, p_threshold)
+    return list(_hits(*_search(
+        coin_family, SearchMode.ISOLATED_MAX, n_max, p_threshold, maximal_atol,
+        alpha_values=alpha_values, beta_arg_values=beta_arg_values,
+    )))
+
+
+def _search(
+    coin_family: CoinFamily,
+    mode: SearchMode,
+    n_steps: int,
+    p_threshold: float,
+    maximal_atol: float,
+    *,
+    avg_threshold: float | None = None,
+    grid_step: float | None = None,
+    workers: int | None = None,
+    alpha_values: Iterable[float] | None = None,
+    beta_arg_values: Iterable[float] | None = None,
+):
+    """(axes, pieces) of a search: its five axes and `_fan_out`'s pieces.
+
+    The general coin scans the grid of step grid_step, one walk per key
+    (`grid_search`); a named coin catalogs its alpha and beta_arg values,
+    every point its own key (`find_max_cases`).  Arguments are checked on
+    the call; the walks run when the first piece is asked for.
+    """
+    if coin_family is not CoinFamily.GENERAL and mode is not SearchMode.ISOLATED_MAX:
+        raise ValueError("averaged search scans the general coin only")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    _check_search(n_steps, p_threshold, maximal_atol)
+    if coin_family is CoinFamily.GENERAL:
+        if mode is SearchMode.AVERAGED_HIGH and not 0.0 <= avg_threshold < 1.0:
+            # normalized E is capped at 1, so no mean can exceed a threshold of 1 or more
+            raise ValueError(f"avg_threshold must lie in [0, 1), got {avg_threshold}")
+        axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
+        if mode is SearchMode.ISOLATED_MAX:
+            reduce, args = _isolated_hits, (p_threshold, maximal_atol)
+        else:
+            reduce, args = _averaged_hits, (p_threshold, avg_threshold)
+        walk_axes, key, n_keys = _key_walks(axes)
+        scan = _scan(walk_axes, n_steps, reduce, *args, workers=workers or 1)
+        return axes, _fan_out(axes, key, n_keys, scan)
     coin = family_coin(coin_family)
     if alpha_values is None:
         alpha_values = np.union1d(grid_axis("alpha", 0.1), BALANCED_ALPHA)
@@ -502,7 +554,7 @@ def find_max_cases(
         raise ValueError("alpha values must lie in [0, 1]")
     beta_arg = np.sort(np.asarray(beta_arg_values, dtype=np.float64))
     axes = [np.array([x]) for x in (coin.rho, coin.theta, coin.eta)] + [alpha, beta_arg]
-    scan = _scan(axes, n_max, _isolated_hits, p_threshold, maximal_atol)
+    scan = _scan(axes, n_steps, _isolated_hits, p_threshold, maximal_atol)
     shape = [axis.size for axis in axes]  # every point is its own key
     key = partial(np.ravel_multi_index, dims=shape)
-    return list(_fan_out(axes, key, int(np.prod(shape)), scan))
+    return axes, _fan_out(axes, key, int(np.prod(shape)), scan)

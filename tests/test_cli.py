@@ -1,7 +1,10 @@
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 
 import tandemwalk.cli as cli
+import tandemwalk.sweep as sweep
 from tandemwalk import (
     BALANCED_ALPHA,
     CoinFamily,
@@ -11,6 +14,7 @@ from tandemwalk import (
     Spin,
     SweepMode,
     SweepSpec,
+    find_max_cases,
     grid_search,
     sweep_1d,
     walk_entanglement_series,
@@ -100,6 +104,14 @@ class TestEvolve:
         )
         assert code == 2
         assert "rho" in err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_no_steps_rejected(self, capsys, tmp_path, steps):
+        out_path = tmp_path / "walk.csv"
+        code, out, err = run(capsys, "evolve", "--steps", steps, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert "--steps" in err and "positive" in err
+        assert not out_path.exists()
 
     def test_displacement_flags_removed(self, capsys):
         code, out, _ = run(capsys, "evolve", "--steps", "2")
@@ -394,6 +406,18 @@ class TestSearch:
         assert err.startswith("error:") and "avg_threshold" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("atol", ["-1", "0", "1", "5"])
+    @pytest.mark.parametrize("coin", ["general", "z"])
+    def test_maximal_atol_out_of_range_writes_nothing(self, capsys, tmp_path, coin, atol):
+        out_path = tmp_path / "hits.csv"
+        code, _, err = run(
+            capsys, "search", "--coin", coin, "--grid", "0.9", "--steps", "4",
+            "--maximal-atol", atol, "--workers", "1", "--out", str(out_path),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "maximal_atol" in err
+        assert not out_path.exists()
+
     def test_worker_count_keeps_bytes_identical(self, capsys):
         args = ["search", "--mode", "isolated", "--coin", "general", "--grid", "0.5",
                 "--steps", "5"]
@@ -569,3 +593,62 @@ class TestRowsMatchTheLibrary:
         hits = list(grid_search(0.6, mode=mode, **kwargs))
         assert len(hits) > 1000
         assert_rows_match(parse_csv(out)[1], hits)
+
+
+def body(text):
+    """The CSV text after the metadata and the header line."""
+    lines = text.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return "".join(lines[start + 1:])
+
+
+class TestSearchBytes:
+    """A search's rows are, byte for byte, the `str` join of the library's
+    hits, and stderr counts them."""
+
+    @staticmethod
+    def assert_bytes(capsys, argv, hits):
+        code, out, err = run(capsys, "search", *argv)
+        assert code == 0
+        expected = [",".join(map(str, hit)) + "\n" for hit in hits]
+        text = body(out)
+        if text != "".join(expected):  # name the first wrong row; a whole-text diff takes minutes
+            rows = text.splitlines(keepends=True)
+            pairs = enumerate(zip_longest(rows, expected))
+            wrong = next(i for i, (row, want) in pairs if row != want)
+            pytest.fail(f"row {wrong}: {rows[wrong:wrong + 1]} != {expected[wrong:wrong + 1]}")
+        assert err == f"{len(hits)} hits\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_isolated_grid(self, capsys, workers):
+        hits = list(grid_search(0.3, 10, SearchMode.ISOLATED_MAX))
+        assert len(hits) > 50000
+        self.assert_bytes(capsys, ["--grid", "0.3", "--steps", "10", "--workers", workers], hits)
+
+    def test_averaged_grid(self, capsys):
+        hits = list(grid_search(0.6, 60, SearchMode.AVERAGED_HIGH, avg_threshold=0.75))
+        assert hits
+        argv = ["--mode", "averaged", "--grid", "0.6", "--steps", "60", "--avg-min", "0.75",
+                "--workers", "1"]
+        self.assert_bytes(capsys, argv, hits)
+
+    @pytest.mark.parametrize("family", [CoinFamily.Z, CoinFamily.HADAMARD, CoinFamily.KEMPE])
+    def test_catalog(self, capsys, family):
+        hits = find_max_cases(family, 12, 0.15)
+        assert hits
+        self.assert_bytes(capsys, ["--coin", family.value, "--steps", "12"], hits)
+
+    def test_no_hits(self, capsys):
+        argv = ["--mode", "averaged", "--grid", "0.5", "--steps", "12", "--workers", "1"]
+        self.assert_bytes(capsys, argv, [])
+
+    def test_key_hits_straddle_small_pieces(self, capsys, monkeypatch):
+        hits = list(grid_search(0.6, 10, SearchMode.ISOLATED_MAX))
+        monkeypatch.setattr(sweep, "_PIECE", 7)
+        _, pieces = sweep._search(
+            CoinFamily.GENERAL, SearchMode.ISOLATED_MAX, 10, 0.15, sweep.MAXIMAL_ATOL,
+            grid_step=0.6,
+        )
+        used = [set(piece_hits.tolist()) for _, piece_hits, _ in pieces]
+        assert any(a & b for a, b in zip(used, used[1:]))  # a key hit in two pieces
+        self.assert_bytes(capsys, ["--grid", "0.6", "--steps", "10", "--workers", "1"], hits)

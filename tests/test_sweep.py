@@ -405,6 +405,15 @@ class TestGridSearch:
         # isolated mode has no average to bound
         grid_search(0.9, 4, SearchMode.ISOLATED_MAX, avg_threshold=avg_threshold)
 
+    @pytest.mark.parametrize("maximal_atol", [-1.0, 0.0, 1.0, 5.0, float("nan")])
+    def test_maximal_atol_range_checked_on_call(self, maximal_atol):
+        # normalized E lies in [0, 1]: a tolerance of 1 or more calls product
+        # states maximal, one of 0 or less finds nothing
+        with pytest.raises(ValueError, match="maximal_atol"):
+            grid_search(0.9, 4, SearchMode.ISOLATED_MAX, maximal_atol=maximal_atol)
+        with pytest.raises(ValueError, match="maximal_atol"):
+            find_max_cases(CoinFamily.Z, 4, 0.15, maximal_atol=maximal_atol)
+
 
 class TestAveragedPruning:
     """Dropping walks mid-walk must leave the averaged hit list unchanged."""
