@@ -4,10 +4,11 @@ Output is plain CSV preceded by '#'-prefixed metadata lines (tool
 version, parameter echo, tolerances), so every file documents how it was
 produced.  Rows are emitted in deterministic grid order and never depend
 on the worker count.  Every field is the `str` of its value, and `_emit`
-writes rows a block of text at a time: a row per block for walks and
-sweeps, a fan-out piece per block for searches, whose axis values and
-key hits are each formatted once per search or piece and joined into
-rows.
+writes rows a block of text at a time: a row per block for sweeps, one
+block for a walk, whose rows are each one f-string over its series'
+columns, and a fan-out piece per block for searches, whose axis values
+and key hits are each formatted once per search or piece and joined
+into rows.
 """
 
 import argparse
@@ -229,16 +230,21 @@ def cmd_evolve(args) -> int:
     coin, shift = _build_operators(args)
     outcomes = _parse_outcomes(args.outcome)  # down before up, the row order
     series = _metric_series(coin.matrix()[None], shift.matrix()[None], args.steps)
-    steps = zip(*(column[:, :, 0].tolist() for column in series))  # each by Spin.row
-    rows = (
-        (n, outcome, *(values[outcome.row] for values in metrics))
-        for n, metrics in enumerate(steps, start=1)
+    texts = [  # each row's fields as `_lines` writes them
+        [
+            f"{n},{outcome.value},{p},{k},{e},{x}\n"
+            for n, p, k, e, x in zip(
+                range(1, args.steps + 1),
+                *(column[:, outcome.row, 0].tolist() for column in series),
+            )
+        ]
         for outcome in outcomes
-    )
+    ]
     meta = {"command": "evolve", **_operator_meta(args)}
     meta.update(steps=args.steps, outcome=args.outcome, term_threshold=TERM_THRESHOLD)
     header = ["step", "outcome", "P", "N", "E_bits", "normalized_E"]
-    _write_csv(args.out, meta, header, _lines(rows))
+    text = "".join(chain.from_iterable(zip(*texts)))
+    _write_csv(args.out, meta, header, [(text, args.steps * len(outcomes))])
     return 0
 
 
@@ -585,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "unitarity", "oracle", "special-points"],
         default="all",
     )
-    p_verify.add_argument("--samples", type=int, default=300)
+    p_verify.add_argument("--samples", type=_positive_int, default=300)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -206,7 +206,8 @@ class ShiftOperator:
     beta is derived as sqrt(1 - alpha^2) e^{i beta_arg}, so (alpha, beta)
     and (-conj(beta), conj(alpha)) form an orthonormal pair by
     construction.  At alpha = BALANCED_ALPHA, |beta| is exactly alpha
-    (see `shift_matrices`).
+    (see `shift_matrices`).  beta_arg is reduced mod 2 pi; a NaN or
+    infinite one raises ValueError.
     """
 
     alpha: float
@@ -215,6 +216,8 @@ class ShiftOperator:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not np.isfinite(self.beta_arg):  # no phase to reduce mod 2 pi
+            raise ValueError(f"beta_arg must be finite, got {self.beta_arg}")
         if not 0.0 <= self.beta_arg < _TWO_PI:
             object.__setattr__(self, "beta_arg", float(np.mod(self.beta_arg, _TWO_PI)))
 

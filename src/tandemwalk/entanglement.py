@@ -10,10 +10,15 @@ the walk were measured at each step.  Every measure here is computed by
 `core.collapse_metrics`.  The per-step series (`_metric_series`) and the
 average (`_averaged`) live here alone, over a batch of walks: the public
 functions run a batch of one, and `sweep` and the CLI index the same arrays.
+The series collapses a block of steps per call, each step's rows
+zero-padded to a width set by the step alone, so its values do not
+depend on the batch or the block; the average collapses each step's
+bare rows, so the two can differ in the last digit.
 """
 
 import numpy as np
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
     CoinOperator,
@@ -101,15 +106,47 @@ class AveragedEntanglement:
     value: float
 
 
+#: a series collapses step n's rows zero-padded to the next multiple of
+#: this width; the rounding of the P and E sums depends on the row width
+#: alone, so every step rounds the same in any block, batch or chunk
+_WIDTH = 32
+
+#: amplitudes per collapse block of a series (steps x 2 x B x padded
+#: width); a batch too wide for two steps collapses one step at a time
+_BLOCK = 1 << 14
+
+
+def _padded_blocks(u, v, n_steps: int):
+    """Yield the amplitudes after steps 1..n_steps of the walks of the
+    (B, 2, 2) coin and shift stacks u and v, in order, as zero-padded
+    (steps, 2, B, width) blocks of consecutive steps of one `_WIDTH`
+    class, each at most `_BLOCK` amplitudes or one step.  A block is
+    overwritten by the next; collapse it before asking for that."""
+    steps, b = walk_batch(u, v, n_steps), u.shape[0]
+    for width in range(_WIDTH, n_steps + _WIDTH + 1, _WIDTH):
+        # the steps n of this width: width - _WIDTH < n + 1 <= width
+        first, last = max(1, width - _WIDTH), min(width - 1, n_steps)
+        size = max(1, min(last - first + 1, _BLOCK // (2 * b * width)))
+        # zeroed once: a later step of the class overwrites every slot an earlier one wrote
+        block = np.zeros((size, 2, b, width), np.complex128)
+        for start in range(first, last + 1, size):
+            count = min(size, last + 1 - start)
+            for i, (n, amps) in enumerate(islice(steps, count)):
+                block[i, :, :, : n + 1] = amps
+            yield block[:count]
+
+
 def _metric_series(u, v, n_steps: int) -> CollapseMetrics:
     """`collapse_metrics` after each of steps 1..n_steps of the walks of the
     (B, 2, 2) coin and shift stacks u and v, each field stacked into an
-    (n_steps, 2, B) array indexed by step - 1, `Spin.row`, then walk."""
-    series = CollapseMetrics([], [], [], [])
-    for _, amps in walk_batch(u, v, n_steps):
-        for column, values in zip(series, collapse_metrics(amps)):
-            column.append(values)
-    return CollapseMetrics(*(np.reshape(column, (n_steps, 2, u.shape[0])) for column in series))
+    (n_steps, 2, B) array indexed by step - 1, `Spin.row`, then walk.
+
+    Steps collapse a `_padded_blocks` block at a time, so a walk's values
+    are the same to the bit alone or in any batch.  The zero padding can
+    move the floats in the last digit from a collapse of the bare row,
+    which `_averaged` and the searches run; N never moves.  n_steps >= 1."""
+    blocks = (collapse_metrics(block) for block in _padded_blocks(u, v, n_steps))
+    return CollapseMetrics(*map(np.concatenate, zip(*blocks)))
 
 
 def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):

@@ -132,8 +132,8 @@ def grid_axis(name: str, step: float) -> np.ndarray:
         lo, hi, closed = PARAM_RANGES[name]
     except KeyError:
         raise ValueError(f"unknown parameter {name!r}") from None
-    if step <= 0:
-        raise ValueError(f"grid step must be positive, got {step}")
+    if not 0.0 < step < np.inf:  # NaN too
+        raise ValueError(f"grid step must be positive and finite, got {step}")
     return _axis(lo, hi, step, closed)
 
 
@@ -173,8 +173,8 @@ class SweepSpec:
                 f"swept range [{self.start}, {self.stop}] leaves the "
                 f"{self.swept} domain [{lo}, {hi}{']' if closed else ')'}"
             )
-        if self.step <= 0:
-            raise ValueError(f"sweep step must be positive, got {self.step}")
+        if not 0.0 < self.step < np.inf:  # NaN too
+            raise ValueError(f"sweep step must be positive and finite, got {self.step}")
         if (self.stop - self.start) / self.step > 1e7:  # values() builds the whole grid
             raise ValueError(f"sweep step {self.step} gives more than 10^7 values")
         minimum = 2 if self.mode is SweepMode.AVERAGED else 1
@@ -261,8 +261,9 @@ _PIECE = 1 << 16
 
 
 def _auto_chunk(n_steps: int) -> int:
-    # keep each (batch, n + 1) complex array around 32 MB
-    return max(4096, (1 << 21) // (n_steps + 1))
+    # a (batch, n + 1) complex array of about 4 MB: the walk and collapse
+    # temporaries around it cost several times that
+    return max(4096, (1 << 18) // (n_steps + 1))
 
 
 def _scan(axes, n_steps, reduce, *args, workers=1) -> Iterator:

@@ -113,6 +113,16 @@ class TestEvolve:
         assert "--steps" in err and "positive" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_beta_arg_writes_nothing(self, capsys, tmp_path, value):
+        out_path = tmp_path / "walk.csv"
+        code, out, err = run(
+            capsys, "evolve", f"--beta-arg={value}", "--steps", "3", "--out", str(out_path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "beta_arg must be finite" in err
+        assert not out_path.exists()
+
     def test_displacement_flags_removed(self, capsys):
         code, out, _ = run(capsys, "evolve", "--steps", "2")
         assert code == 0
@@ -275,6 +285,15 @@ class TestSweep:
 
 
 class TestSweepBound:
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_named(self, capsys, step):
+        code, out, err = run(
+            capsys, "sweep", "--coin", "hadamard", "--sweep", "alpha", "--step", step,
+            "--steps", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: sweep step must be positive")
+
     def test_too_fine_a_step_exits_2(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--coin", "hadamard", "--sweep", "alpha", "--start", "0",
@@ -285,6 +304,15 @@ class TestSweepBound:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0", "-0.5"])
+    def test_bad_grid_step_named(self, capsys, tmp_path, grid):
+        out_path = tmp_path / "hits.csv"
+        code, out, err = run(capsys, "search", "--grid", grid, "--steps", "4",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid step must be positive")
+        assert not out_path.exists()
+
     def test_isolated_coarse_grid(self, capsys):
         code, out, err = run(
             capsys,
@@ -432,6 +460,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--samples", "40")
         assert code == 0
         assert out.count("pass") == 3
+
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_non_positive_samples_rejected(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "--samples", samples)
+        assert code == 2 and out == ""
+        assert "--samples" in err and "positive" in err
 
     def test_single_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oracle", "--samples", "25")
@@ -652,3 +686,28 @@ class TestSearchBytes:
         used = [set(piece_hits.tolist()) for _, piece_hits, _ in pieces]
         assert any(a & b for a, b in zip(used, used[1:]))  # a key hit in two pieces
         self.assert_bytes(capsys, ["--grid", "0.6", "--steps", "10", "--workers", "1"], hits)
+
+
+class TestEvolveBytes:
+    """`evolve` writes, byte for byte, what `_lines` makes of the library's
+    per-step records, down before up."""
+
+    @pytest.mark.parametrize("outcome", ["up", "down", "both"])
+    @pytest.mark.parametrize("steps", [1, 33, 300])
+    def test_rows_are_the_lines_of_the_series(self, capsys, outcome, steps):
+        argv = ["--coin", "general", "--rho", "0.62", "--theta", "0.8", "--eta", "2.3",
+                "--alpha", "0.81", "--beta-arg", "1.9", "--outcome", outcome]
+        code, out, _ = run(capsys, "evolve", *argv, "--steps", str(steps))
+        assert code == 0
+        coin = CoinOperator(rho=0.62, theta=0.8, eta=2.3)
+        shift = ShiftOperator(alpha=0.81, beta_arg=1.9)
+        spins = [Spin.DOWN, Spin.UP] if outcome == "both" else [Spin(outcome)]
+        # the library's series needs two steps; step 1 of a longer walk is the same
+        series = [walk_entanglement_series(coin, shift, max(steps, 2), s)[:steps] for s in spins]
+        rows = [
+            (r.step, r.outcome, r.probability, r.term_count, r.entropy, r.normalized)
+            for records in zip(*series)
+            for r in records
+        ]
+        assert len(rows) == steps * len(spins)
+        assert body(out) == "".join(text for text, _ in cli._lines(rows))

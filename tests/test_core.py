@@ -172,6 +172,13 @@ class TestShift:
         residual = orthonormality_residual(0.6, 0.8 + 1e-3)
         assert residual > 1e-12
 
+    @pytest.mark.parametrize("beta_arg", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_arg_rejected(self, beta_arg):
+        with pytest.raises(ValueError, match="beta_arg must be finite"):
+            ShiftOperator(alpha=0.5, beta_arg=beta_arg)
+        with pytest.raises(ValueError, match="beta_arg must be finite"):
+            balanced_shift(beta_arg)
+
     def test_beta_arg_wraps(self):
         s = ShiftOperator(alpha=0.5, beta_arg=2 * np.pi)
         assert s.beta_arg == 0.0

@@ -20,6 +20,9 @@ from tandemwalk import (
     walk_entanglement_series,
     z_coin,
 )
+import tandemwalk.entanglement as entanglement
+from tandemwalk.core import coin_matrices, collapse_metrics, shift_matrices, walk_batch
+from tandemwalk.entanglement import _metric_series, _padded_blocks
 
 # -(0.8 log2 0.8 + 0.2 log2 0.2), evaluated directly from the formula
 ENTROPY_08_02 = 0.7219280948873623
@@ -230,3 +233,75 @@ class TestAveraged:
             for alpha, outcome, value in rows:
                 shift = ShiftOperator(alpha=alpha, beta_arg=beta_arg)
                 assert averaged_entanglement(coin, shift, n, Spin(outcome)).value == value
+
+
+def _walks(count, seed):
+    """Coin and shift stacks of `count` seeded general walks, then the two
+    chains and the bounce, which collapse to exact zeros."""
+    rng = np.random.default_rng(seed)
+    u = coin_matrices(rng.uniform(0, 1, count), *rng.uniform(0, np.pi, (2, count)))
+    v = shift_matrices(rng.uniform(0, 1, count), rng.uniform(0, 2 * np.pi, count))
+    special = [
+        (hadamard_coin(), balanced_shift(0.0)),
+        (kempe_coin(), balanced_shift(3 * np.pi / 2)),
+        (kempe_coin(), balanced_shift(np.pi / 2)),
+    ]
+    u = np.concatenate([u, [coin.matrix() for coin, _ in special]])
+    v = np.concatenate([v, [shift.matrix() for _, shift in special]])
+    return u, v
+
+
+class TestBlockedSeries:
+    """`_metric_series` collapses padded blocks of steps; it must agree with
+    a collapse per step, and a walk's values must not depend on its batch."""
+
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 200, 800])
+    def test_matches_a_collapse_per_step(self, n):
+        u, v = _walks(4, seed=n)
+        series = _metric_series(u, v, n)
+        steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n)]
+        for blocked, field in zip(series, zip(*steps)):
+            exact = np.stack(field)
+            assert blocked.shape == exact.shape == (n, 2, u.shape[0])
+            if exact.dtype.kind == "i":  # N
+                assert np.array_equal(blocked, exact)
+            else:
+                assert np.max(np.abs(blocked - exact)) <= 1e-13
+                assert np.array_equal(blocked == 0.0, exact == 0.0)
+        for field in (series.probability, series.entropy, series.normalized):
+            assert np.all(field[:, 1, -3:-1] == 0.0)  # the chains: no down, no entanglement
+        assert np.all(series.entropy[:, :, -1] == 0.0)  # the bounce: product states only
+        assert np.all(series.term_count[:, :, -3:] <= 1)
+
+    @pytest.mark.parametrize("budget", [entanglement._BLOCK, 1])
+    def test_batch_equals_each_walk_alone_to_the_bit(self, monkeypatch, budget):
+        monkeypatch.setattr(entanglement, "_BLOCK", budget)
+        u, v = _walks(47, seed=7)
+        n = 200
+        batch = _metric_series(u, v, n)
+        for j in range(u.shape[0]):
+            alone = _metric_series(u[j : j + 1], v[j : j + 1], n)
+            for field, own in zip(batch, alone):
+                assert np.array_equal(field[:, :, j : j + 1], own)
+
+    def test_budget_changes_no_bit(self, monkeypatch):
+        u, v = _walks(2, seed=3)
+        n = 300
+        default = _metric_series(u, v, n)
+        monkeypatch.setattr(entanglement, "_BLOCK", 1)
+        assert all(len(block) == 1 for block in _padded_blocks(u, v, n))
+        for field, single in zip(default, _metric_series(u, v, n)):
+            assert np.array_equal(field, single)
+
+    def test_blocks_are_padded_width_classes_within_the_budget(self):
+        u, v = _walks(1, seed=1)
+        n, first = 800, 1
+        for block in _padded_blocks(u, v, n):
+            size, _, b, width = block.shape
+            last = first + size - 1
+            assert width % entanglement._WIDTH == 0
+            assert width - entanglement._WIDTH < first + 1 and last + 1 <= width
+            assert size == 1 or size * 2 * b * width <= entanglement._BLOCK
+            assert np.all(block[-1, :, :, last + 1 :] == 0.0)
+            first = last + 1
+        assert first == n + 1

@@ -53,6 +53,13 @@ class TestGridAxis:
         with pytest.raises(ValueError, match="unknown"):
             grid_axis("gamma", 0.1)
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="grid step must be positive"):
+            grid_axis("rho", step)
+        with pytest.raises(ValueError, match="sweep step must be positive"):
+            SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, step, 4)
+
     def test_rounding_never_overshoots_the_range(self):
         # three steps of this size end 3.3e-11 above 1, where sqrt(1 - rho) is NaN
         rho = grid_axis("rho", 0.3333333333444444)
