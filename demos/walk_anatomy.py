@@ -37,7 +37,7 @@ for outcome in (Spin.UP, Spin.DOWN):
     print(f"\nmeasured {outcome.value}: P = {collapsed.probability:.4f}, "
           f"N = {collapsed.term_count} terms")
     print(f"  entropy      = {entropy(collapsed.amps):.4f} bits")
-    print(f"  normalized   = {normalized_entanglement(collapsed.amps, collapsed.term_count):.4f}")
+    print(f"  normalized   = {normalized_entanglement(collapsed.amps):.4f}")
     weights = np.abs(collapsed.amps) ** 2
     top = np.argsort(weights)[::-1][:5]
     for k in top:

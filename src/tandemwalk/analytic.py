@@ -106,16 +106,15 @@ def psi_down_2(coin: CoinOperator, shift: ShiftOperator) -> Step2State:
     )
 
 
-def max_condition_up(
-    coin: CoinOperator, shift: ShiftOperator, atol: float = MODULUS_ATOL
-) -> bool:
+def max_condition_up(coin: CoinOperator, shift: ShiftOperator) -> bool:
     """Whether an up measurement at step 2 yields maximal entanglement.
 
     True iff |alpha sqrt(rho) - beta sqrt(1-rho) e^{-i(theta+eta)}| equals
     |alpha sqrt(1-rho) + beta sqrt(rho) e^{-i(theta+eta)}|, i.e. iff the
-    two coefficients of the up-collapsed step-2 state have equal moduli.
+    two coefficients of the up-collapsed step-2 state have equal moduli,
+    to within MODULUS_ATOL.
     """
     w, stay, flip, alpha, beta = _terms(coin, shift)
     lhs = abs(alpha * stay - beta * flip * w)
     rhs = abs(alpha * flip + beta * stay * w)
-    return bool(abs(lhs - rhs) < atol)
+    return bool(abs(lhs - rhs) < MODULUS_ATOL)

@@ -14,6 +14,7 @@ into rows.
 import argparse
 import os
 import sys
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import __version__
 from .analytic import phi1, psi_down_2, psi_up_2
 from .core import (
     BALANCED_ALPHA,
+    PARAM_RANGES,
     TERM_THRESHOLD,
     UNITARITY_ATOL,
     CoinOperator,
@@ -201,7 +203,7 @@ def _add_operator_args(parser: argparse.ArgumentParser):
         "--beta-arg",
         type=_parse_angle,
         default=0.0,
-        help="phase of beta in [0,2pi); aliases pi/2, pi, 3pi/2 stay exact",
+        help="phase of beta, reduced mod 2pi; aliases pi/2, pi, 3pi/2 stay exact",
     )
 
 
@@ -211,15 +213,13 @@ def _build_operators(args) -> tuple[CoinOperator, ShiftOperator]:
     return coin, ShiftOperator(alpha=args.alpha, beta_arg=args.beta_arg)
 
 
-def _operator_meta(args, swept: str | None = None) -> dict:
-    """Coin and shift parameters that shaped the rows; a sweep's swept
-    parameter takes the grid's values, not its flag's."""
-    meta = {"coin": args.coin}
-    if args.coin == "general":
-        meta.update(rho=args.rho, theta=args.theta, eta=args.eta)
-    meta.update(alpha=args.alpha, beta_arg=args.beta_arg)
-    meta.pop(swept, None)
-    return meta
+def _operator_meta(coin: str, params: dict) -> dict:
+    """The coin and, of params, the parameters that shaped the rows: the
+    values the operators or the sweep hold, so a beta_arg echoes reduced
+    mod 2 pi.  A sweep passes no swept parameter, whose values the grid
+    gives, and only the general coin reads rho, theta and eta."""
+    names = PARAM_RANGES if coin == "general" else ("alpha", "beta_arg")
+    return {"coin": coin, **{name: params[name] for name in names if name in params}}
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def cmd_evolve(args) -> int:
         ]
         for outcome in outcomes
     ]
-    meta = {"command": "evolve", **_operator_meta(args)}
+    meta = {"command": "evolve", **_operator_meta(args.coin, {**vars(coin), **vars(shift)})}
     meta.update(steps=args.steps, outcome=args.outcome, term_threshold=TERM_THRESHOLD)
     header = ["step", "outcome", "P", "N", "E_bits", "normalized_E"]
     text = "".join(chain.from_iterable(zip(*texts)))
@@ -258,8 +258,7 @@ def _figure_rows(tag: str, n_steps_override: int | None):
     if n is None:
         n = 800 if tag == "fig2" else 200
     hadamard, real = CoinFamily.HADAMARD, {"beta_arg": 0.0}
-    alphas = ("alpha", 0.0, 1.0, _FINE)
-    phases = ("beta_arg", 0.0, 2 * float(np.pi), _FINE)
+    alphas, phases = ((name, *PARAM_RANGES[name][:2], _FINE) for name in ("alpha", "beta_arg"))
     figures = {
         "fig1": (
             f"averaged entanglement over {n} steps vs alpha, hadamard coin, real beta",
@@ -317,15 +316,11 @@ def cmd_sweep(args) -> int:
         desc, header, rows = _figure_rows(args.figure, args.steps)
         meta = {"command": "sweep", "figure": args.figure, "description": desc}
     else:
-        fixed = {}
-        for key in ("rho", "theta", "eta"):
-            value = getattr(args, key)
-            if value is not None and args.sweep != key:
-                fixed[key] = value
-        if args.sweep != "alpha":
-            fixed["alpha"] = args.alpha
-        if args.sweep != "beta_arg":
-            fixed["beta_arg"] = args.beta_arg
+        fixed = {  # alpha and beta_arg have defaults; the coin's three may be unset
+            name: getattr(args, name)
+            for name in PARAM_RANGES
+            if name != args.sweep and getattr(args, name) is not None
+        }
         spec = SweepSpec(
             CoinFamily(args.coin),
             args.sweep,
@@ -338,7 +333,7 @@ def cmd_sweep(args) -> int:
             mode=SweepMode(args.mode),
         )
         header, rows = sweep_1d(spec)
-        meta = {"command": "sweep", **_operator_meta(args, args.sweep)}
+        meta = {"command": "sweep", **_operator_meta(args.coin, spec.fixed)}
         meta.update(
             sweep=args.sweep,
             start=args.start,
@@ -377,18 +372,7 @@ def cmd_search(args) -> int:
     mode = SearchMode(args.mode)
     family = CoinFamily(args.coin)
     workers = _resolve_workers(args.workers)
-    header = [
-        "rho",
-        "theta",
-        "eta",
-        "alpha",
-        "beta_arg",
-        "step",
-        "outcome",
-        "normalized_E",
-        "P",
-        "N",
-    ]
+    header = [*PARAM_RANGES, "step", "outcome", "normalized_E", "P", "N"]
     meta = {"command": "search", "mode": args.mode, "coin": args.coin}
     if family is CoinFamily.GENERAL:  # the named-coin catalogs use their own grid
         meta["grid"] = args.grid
@@ -412,24 +396,23 @@ def cmd_search(args) -> int:
 # verify
 
 
+def _random(operator, rng):
+    """A CoinOperator or ShiftOperator with each parameter drawn uniformly
+    over its `PARAM_RANGES` domain, in field order."""
+    return operator(*(rng.uniform(*PARAM_RANGES[f.name][:2]) for f in fields(operator)))
+
+
 def _suite_unitarity(samples: int, rng) -> tuple[list[str], float]:
     failures, worst = [], 0.0
     coins = [family_coin(f) for f in (CoinFamily.HADAMARD, CoinFamily.KEMPE, CoinFamily.Z)]
-    for _ in range(samples):
-        coins.append(
-            CoinOperator(
-                rho=rng.uniform(0, 1),
-                theta=rng.uniform(0, np.pi),
-                eta=rng.uniform(0, np.pi),
-            )
-        )
+    coins += [_random(CoinOperator, rng) for _ in range(samples)]
     for coin in coins:
         residual = coin.unitarity_residual()
         worst = max(worst, residual)
         if residual >= UNITARITY_ATOL:
             failures.append(f"coin {coin} residual {residual:.3e}")
     for _ in range(samples):
-        shift = ShiftOperator(alpha=rng.uniform(0, 1), beta_arg=rng.uniform(0, 2 * np.pi))
+        shift = _random(ShiftOperator, rng)
         ok, residual = verify_shift_unitarity(shift)
         worst = max(worst, residual)
         if not ok:
@@ -444,10 +427,7 @@ def _suite_unitarity(samples: int, rng) -> tuple[list[str], float]:
 def _suite_oracle(samples: int, rng) -> tuple[list[str], float]:
     failures, worst_all = [], 0.0
     for _ in range(samples):
-        coin = CoinOperator(
-            rho=rng.uniform(0, 1), theta=rng.uniform(0, np.pi), eta=rng.uniform(0, np.pi)
-        )
-        shift = ShiftOperator(alpha=rng.uniform(0, 1), beta_arg=rng.uniform(0, 2 * np.pi))
+        coin, shift = _random(CoinOperator, rng), _random(ShiftOperator, rng)
         one = step(initial_state(), coin, shift)
         up1, down1 = phi1(coin, shift)
         err1 = max(
@@ -551,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     _add_operator_args(p_sweep)
     p_sweep.add_argument("--figure", choices=_FIGURES, help="named preset scan")
-    p_sweep.add_argument("--sweep", choices=list("rho theta eta alpha beta_arg".split()))
+    p_sweep.add_argument("--sweep", choices=list(PARAM_RANGES))
     p_sweep.add_argument("--start", type=float, default=0.0)
     p_sweep.add_argument("--stop", type=float, default=1.0)
     p_sweep.add_argument("--step", type=float, default=0.005)

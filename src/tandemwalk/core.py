@@ -1,6 +1,9 @@
 """State representation and unitary evolution for a coined quantum walk
 of two walkers that move together on the integer line.
 
+The domains of the five coin and shift parameters are one table,
+`PARAM_RANGES`, and every entry point checks its values against it.
+
 The joint state is a superposition of terms |s> (x) |i,i> where s is a
 spin-1/2 component (the coin) and i is a lattice site shared by both
 walkers.  One step applies a 2x2 unitary coin U to the spin factor, then
@@ -61,7 +64,16 @@ UNITARITY_ATOL = 1e-12
 BALANCED_ALPHA = float(np.sqrt(0.5))
 
 _QUARTER_TURN = float(np.pi / 2)
-_TWO_PI = float(2.0 * np.pi)
+
+#: (low, high, closed) domain of each coin and shift parameter, in the
+#: order of a search's axes; beta_arg is a phase and excludes 2 pi
+PARAM_RANGES = {
+    "rho": (0.0, 1.0, True),
+    "theta": (0.0, float(np.pi), True),
+    "eta": (0.0, float(np.pi), True),
+    "alpha": (0.0, 1.0, True),
+    "beta_arg": (0.0, float(2.0 * np.pi), False),
+}
 
 # exp(i k pi/2) indexed by k mod 4
 _UNIT_PHASES = np.array([1 + 0j, 1j, -1 + 0j, -1j])
@@ -126,6 +138,41 @@ def shift_matrices(alpha, beta_arg) -> np.ndarray:
     return m
 
 
+def _domain(name: str) -> tuple[float, float, bool]:
+    """`PARAM_RANGES` entry of a parameter, ValueError for an unknown name."""
+    try:
+        return PARAM_RANGES[name]
+    except KeyError:
+        raise ValueError(f"unknown parameter {name!r}") from None
+
+
+def _checked(name: str, values) -> np.ndarray:
+    """Values of parameter `name` as float64, checked against its domain.
+
+    NaN, +-inf and values outside a closed range raise ValueError naming
+    the parameter.  beta_arg is reduced mod 2 pi into [0, 2 pi); values
+    already there come back unchanged to the bit.
+    """
+    lo, hi, closed = _domain(name)
+    values = np.asarray(values, dtype=np.float64)
+    inside = (lo <= values) & ((values <= hi) if closed else (values < hi))
+    if inside.all():  # NaN compares false, so it is never inside
+        return values
+    bad = values[~inside]
+    if not np.isfinite(bad).all():
+        raise ValueError(f"{name} must be finite, got {bad[~np.isfinite(bad)][0]}")
+    if closed:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {bad[0]}")
+    wrapped = np.mod(values, hi)  # lo is 0; a residue that rounds up to 2 pi is the phase 0
+    return np.where(inside, values, np.where(wrapped < hi, wrapped, lo))
+
+
+def _check_fields(operator):
+    """Replace each parameter field of a frozen operator by its checked float."""
+    for name, value in vars(operator).items():
+        object.__setattr__(operator, name, float(_checked(name, value)))
+
+
 class Spin(Enum):
     """Z-axis spin eigenstates of the coin."""
 
@@ -150,7 +197,8 @@ class CoinOperator:
         [[ sqrt(rho),                sqrt(1-rho) e^{i(theta-eta)} ],
          [ -sqrt(1-rho) e^{-i(theta+eta)}, sqrt(rho) e^{-2i eta}  ]]
 
-    with rho in [0, 1] and theta and eta in [0, pi].  A global phase
+    with rho in [0, 1] and theta and eta in [0, pi] (`PARAM_RANGES`);
+    a value outside, NaN or infinite raises ValueError.  A global phase
     would change no probability or entropy, so there is none.
     """
 
@@ -159,12 +207,7 @@ class CoinOperator:
     eta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.eta <= np.pi:
-            raise ValueError(f"eta must lie in [0, pi], got {self.eta}")
+        _check_fields(self)
 
     def matrix(self) -> np.ndarray:
         """Realize the coin as a 2x2 complex128 array."""
@@ -206,20 +249,16 @@ class ShiftOperator:
     beta is derived as sqrt(1 - alpha^2) e^{i beta_arg}, so (alpha, beta)
     and (-conj(beta), conj(alpha)) form an orthonormal pair by
     construction.  At alpha = BALANCED_ALPHA, |beta| is exactly alpha
-    (see `shift_matrices`).  beta_arg is reduced mod 2 pi; a NaN or
-    infinite one raises ValueError.
+    (see `shift_matrices`).  The beta_arg field holds the phase reduced
+    mod 2 pi into [0, 2 pi), the one the walk uses; an alpha outside
+    [0, 1], or a NaN or infinite parameter, raises ValueError.
     """
 
     alpha: float
     beta_arg: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not np.isfinite(self.beta_arg):  # no phase to reduce mod 2 pi
-            raise ValueError(f"beta_arg must be finite, got {self.beta_arg}")
-        if not 0.0 <= self.beta_arg < _TWO_PI:
-            object.__setattr__(self, "beta_arg", float(np.mod(self.beta_arg, _TWO_PI)))
+        _check_fields(self)
 
     def matrix(self) -> np.ndarray:
         """The mix V as a 2x2 complex128 array."""
@@ -256,16 +295,14 @@ def orthonormality_residual(alpha: complex, beta: complex) -> float:
     return float(max(cross, n1, n2))
 
 
-def verify_shift_unitarity(
-    shift: ShiftOperator, atol: float = UNITARITY_ATOL
-) -> tuple[bool, float]:
+def verify_shift_unitarity(shift: ShiftOperator) -> tuple[bool, float]:
     """Check the unitarity of a shift operator.
 
     Returns (ok, residual) where residual is the worst orthonormality
-    deviation of its coefficient vectors.
+    deviation of its coefficient vectors and ok is residual < UNITARITY_ATOL.
     """
     residual = orthonormality_residual(complex(shift.alpha), shift.beta)
-    return residual < atol, residual
+    return residual < UNITARITY_ATOL, residual
 
 
 def _site_index(n: int, site: int) -> int | None:

@@ -26,7 +26,6 @@ from .core import (
     ShiftOperator,
     Spin,
     collapse_metrics,
-    normalized_ratio,
     walk_batch,
 )
 
@@ -67,16 +66,12 @@ def term_count(amps: np.ndarray) -> int:
     return int(collapse_metrics(np.asarray(amps, dtype=np.complex128)).term_count)
 
 
-def normalized_entanglement(amps: np.ndarray, n_terms: int | None = None) -> float:
-    """Entropy divided by its maximum log2 N for the retained terms.
+def normalized_entanglement(amps: np.ndarray) -> float:
+    """Entropy divided by its maximum log2 N, N the term count of amps.
 
-    N is the term count of amps unless n_terms is given.  Returns 0 when
-    fewer than two terms survive the threshold.
+    Returns 0 when fewer than two terms survive the threshold.
     """
-    metrics = _normalized_metrics(amps)
-    if n_terms is None:
-        return float(metrics.normalized)
-    return float(normalized_ratio(metrics.entropy, n_terms))
+    return float(_normalized_metrics(amps).normalized)
 
 
 @dataclass(frozen=True)

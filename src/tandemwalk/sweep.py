@@ -33,8 +33,11 @@ import numpy as np
 
 from .core import (
     BALANCED_ALPHA,
+    PARAM_RANGES,
     CoinOperator,
     Spin,
+    _checked,
+    _domain,
     coin_matrices,
     collapse_metrics,
     hadamard_coin,
@@ -61,17 +64,6 @@ __all__ = [
 
 #: normalized entanglement counts as maximal above 1 - MAXIMAL_ATOL
 MAXIMAL_ATOL = 1e-9
-
-_TWO_PI = float(2.0 * np.pi)
-
-#: closed parameter ranges; beta_arg is periodic and excludes its upper end
-PARAM_RANGES = {
-    "rho": (0.0, 1.0, True),
-    "theta": (0.0, float(np.pi), True),
-    "eta": (0.0, float(np.pi), True),
-    "alpha": (0.0, 1.0, True),
-    "beta_arg": (0.0, _TWO_PI, False),
-}
 
 
 class CoinFamily(Enum):
@@ -128,10 +120,7 @@ def grid_axis(name: str, step: float) -> np.ndarray:
     the step does not land on it); the periodic beta_arg range excludes
     2 pi, which is the same point as 0.
     """
-    try:
-        lo, hi, closed = PARAM_RANGES[name]
-    except KeyError:
-        raise ValueError(f"unknown parameter {name!r}") from None
+    lo, hi, closed = _domain(name)
     if not 0.0 < step < np.inf:  # NaN too
         raise ValueError(f"grid step must be positive and finite, got {step}")
     return _axis(lo, hi, step, closed)
@@ -143,9 +132,11 @@ class SweepSpec:
 
     fixed supplies the non-swept parameters (rho/theta/eta for the
     general coin, alpha/beta_arg for the shift; alpha defaults to the
-    balanced point and beta_arg to 0).  An alpha sweep always contains
-    the exact balanced alpha when it lies inside [start, stop], because
-    the averaged entanglement is discontinuous there.
+    balanced point and beta_arg to 0).  The spec holds each fixed value
+    as the operators would, checked and a beta_arg reduced mod 2 pi.  An
+    alpha sweep always contains the exact balanced alpha when it lies
+    inside [start, stop], because the averaged entanglement is
+    discontinuous there.
     """
 
     coin_family: CoinFamily
@@ -159,14 +150,12 @@ class SweepSpec:
     mode: SweepMode = SweepMode.AVERAGED
 
     def __post_init__(self):
-        if self.swept not in PARAM_RANGES:
-            raise ValueError(f"unknown swept parameter {self.swept!r}")
+        lo, hi, closed = _domain(self.swept)
         coin_params = {"rho", "theta", "eta"}
         if self.coin_family is not CoinFamily.GENERAL and self.swept in coin_params:
             raise ValueError(
                 f"cannot sweep {self.swept!r} with the fixed {self.coin_family.value} coin"
             )
-        lo, hi, closed = PARAM_RANGES[self.swept]
         top_ok = self.stop <= hi if closed else self.stop < hi + 1e-12
         if not (lo <= self.start <= self.stop and top_ok):
             raise ValueError(
@@ -180,13 +169,10 @@ class SweepSpec:
         minimum = 2 if self.mode is SweepMode.AVERAGED else 1
         if self.n_steps < minimum:
             raise ValueError(f"n_steps must be at least {minimum}, got {self.n_steps}")
-        for key, value in self.fixed.items():
-            if key not in PARAM_RANGES:
-                raise ValueError(f"unknown fixed parameter {key!r}")
-            lo, hi, closed = PARAM_RANGES[key]
-            inside = lo <= value <= hi if closed else lo <= value < hi
-            if not inside:
-                raise ValueError(f"fixed {key}={value} outside its domain")
+        if unknown := self.fixed.keys() - PARAM_RANGES.keys():
+            raise ValueError(f"unknown fixed parameter {min(unknown)!r}")
+        fixed = {key: float(_checked(key, value)) for key, value in self.fixed.items()}
+        object.__setattr__(self, "fixed", fixed)
 
     def values(self) -> np.ndarray:
         """Swept grid values in ascending order, every one in [start, stop].
@@ -494,9 +480,10 @@ def find_max_cases(
     0.1-step grids, the exact balanced alpha, and the quarter-turn
     phases, which is where the degenerate walks live) for n_max steps
     and records every step whose normalized entanglement is maximal with
-    probability above p_threshold.  Hits are ordered by alpha, then
-    beta_arg, then step, then up before down.  Use `grid_search` to scan
-    the general coin.
+    probability above p_threshold.  The values are checked as
+    `ShiftOperator` checks them, and hits carry each beta_arg reduced
+    mod 2 pi.  Hits are ordered by alpha, then beta_arg, then step, then
+    up before down.  Use `grid_search` to scan the general coin.
     """
     if coin_family is CoinFamily.GENERAL:
         raise ValueError("find_max_cases catalogs a named coin; use grid_search")
@@ -550,10 +537,8 @@ def _search(
         quarter = float(np.pi / 2)
         extra = [quarter, 2 * quarter, 3 * quarter]
         beta_arg_values = np.union1d(grid_axis("beta_arg", 0.1), extra)
-    alpha = np.sort(np.asarray(alpha_values, dtype=np.float64))
-    if np.any((alpha < 0.0) | (alpha > 1.0)):
-        raise ValueError("alpha values must lie in [0, 1]")
-    beta_arg = np.sort(np.asarray(beta_arg_values, dtype=np.float64))
+    alpha = np.sort(_checked("alpha", alpha_values))
+    beta_arg = np.sort(_checked("beta_arg", beta_arg_values))
     axes = [np.array([x]) for x in (coin.rho, coin.theta, coin.eta)] + [alpha, beta_arg]
     scan = _scan(axes, n_steps, _isolated_hits, p_threshold, maximal_atol)
     shape = [axis.size for axis in axes]  # every point is its own key

@@ -164,7 +164,7 @@ def test_criterion_03_maximality_conditions():
         if result.probability <= 1e-12:
             continue
         checked += 1
-        maximal = normalized_entanglement(result.amps, result.term_count) > 1 - 1e-9
+        maximal = normalized_entanglement(result.amps) > 1 - 1e-9
         if max_condition_up(coin, shift) != maximal:
             ok = False
     ok &= checked > 300
@@ -189,7 +189,7 @@ def test_criterion_04_headline_step4_cases():
     ok = True
     for label, coin, shift in cases:
         result = measure_spin(evolve(coin, shift, 4), Spin.DOWN)
-        value = normalized_entanglement(result.amps, result.term_count)
+        value = normalized_entanglement(result.amps)
         good = (
             result.term_count == 4
             and abs(value - 1.0) < 1e-6
@@ -328,7 +328,7 @@ def test_criterion_08_z_coin_flatness_and_catalog():
                 evolve(z_coin(), ShiftOperator(alpha=alpha, beta_arg=beta_arg), 2),
                 Spin.DOWN,
             )
-            value = normalized_entanglement(result.amps, result.term_count)
+            value = normalized_entanglement(result.amps)
             ok &= value > 1 - 1e-9 and result.term_count == 2
             ok &= 0.15 < result.probability <= 0.5 + 1e-12
     balanced = measure_spin(evolve(z_coin(), balanced_shift(0.3), 2), Spin.DOWN)
@@ -336,9 +336,9 @@ def test_criterion_08_z_coin_flatness_and_catalog():
     # up outcome maximal only at the balanced point
     for alpha in (0.3, 0.5, 0.6, 0.8, 0.95):
         result = measure_spin(evolve(z_coin(), ShiftOperator(alpha=alpha, beta_arg=0.9), 2), Spin.UP)
-        ok &= normalized_entanglement(result.amps, result.term_count) < 1 - 1e-9
+        ok &= normalized_entanglement(result.amps) < 1 - 1e-9
     result = measure_spin(evolve(z_coin(), balanced_shift(0.9), 2), Spin.UP)
-    ok &= normalized_entanglement(result.amps, result.term_count) > 1 - 1e-9
+    ok &= normalized_entanglement(result.amps) > 1 - 1e-9
     ok &= abs(result.probability - 0.5) < 1e-6
     assert report(
         "c08",
@@ -364,7 +364,7 @@ def test_criterion_09_grid_search_desk_scale():
         shift = ShiftOperator(alpha=hit.alpha, beta_arg=hit.beta_arg)
         result = measure_spin(evolve(coin, shift, hit.step), hit.outcome)
         ok &= abs(result.probability - hit.probability) < 1e-9
-        ok &= normalized_entanglement(result.amps, result.term_count) > 1 - 1e-9
+        ok &= normalized_entanglement(result.amps) > 1 - 1e-9
 
     averaged = list(
         grid_search(

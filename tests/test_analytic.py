@@ -123,7 +123,7 @@ class TestMaxConditionUp:
                 continue
             checked += 1
             maximal = (
-                normalized_entanglement(result.amps, result.term_count) > 1 - 1e-9
+                normalized_entanglement(result.amps) > 1 - 1e-9
             )
             assert max_condition_up(coin, shift) == maximal
         assert checked > 300
@@ -166,4 +166,4 @@ class TestOracleEquivalence:
                 )
                 result = measure_spin(evolve(coin, shift, 2), Spin.DOWN)
                 assert result.probability > 0
-                assert normalized_entanglement(result.amps, result.term_count) > 1 - 1e-9
+                assert normalized_entanglement(result.amps) > 1 - 1e-9

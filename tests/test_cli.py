@@ -455,6 +455,49 @@ class TestSearch:
         assert out1 == out2
 
 
+class TestParameterDomains:
+    """Every entry point checks the five parameters against one table."""
+
+    NAMES = ("rho", "theta", "eta", "alpha", "beta_arg")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_with_the_parameter_named(self, bad):
+        good = {"rho": 0.5, "theta": 0.2, "eta": 0.3, "alpha": 0.6, "beta_arg": 1.0}
+        for name in self.NAMES:
+            params = {**good, name: bad}
+            with pytest.raises(ValueError, match=name):  # the operator holding name
+                CoinOperator(params["rho"], params["theta"], params["eta"])
+                ShiftOperator(params["alpha"], params["beta_arg"])
+            swept = "beta_arg" if name == "alpha" else "alpha"
+            with pytest.raises(ValueError, match=name):
+                SweepSpec(CoinFamily.GENERAL, swept, 0.1, 0.2, 0.05, 4, fixed={name: bad})
+        with pytest.raises(ValueError, match="alpha"):
+            find_max_cases(CoinFamily.Z, 4, 0.15, alpha_values=[0.5, bad])
+        with pytest.raises(ValueError, match="beta_arg"):
+            find_max_cases(CoinFamily.Z, 4, 0.15, alpha_values=[0.5], beta_arg_values=[bad])
+
+    @pytest.mark.parametrize("value", [7.0, -3.0])
+    def test_beta_arg_reduced_to_the_same_float_everywhere(self, capsys, value):
+        reduced = ShiftOperator(0.5, value).beta_arg
+        assert 0.0 <= reduced < 2 * np.pi and reduced == value % (2 * np.pi)
+        spec = SweepSpec(CoinFamily.HADAMARD, "alpha", 0.1, 0.2, 0.05, 4,
+                         fixed={"beta_arg": value})
+        assert spec.fixed["beta_arg"] == reduced
+        hits = find_max_cases(CoinFamily.Z, 4, 0.15, alpha_values=[0.5], beta_arg_values=[value])
+        assert hits and {hit.beta_arg for hit in hits} == {reduced}
+        assert hits == find_max_cases(
+            CoinFamily.Z, 4, 0.15, alpha_values=[0.5], beta_arg_values=[reduced]
+        )
+        for argv in (
+            ["evolve", "--coin", "hadamard", "--steps", "4"],
+            ["sweep", "--sweep", "alpha", "--start", "0.1", "--stop", "0.2", "--step", "0.05",
+             "--steps", "4"],
+        ):
+            code, out, _ = run(capsys, *argv, f"--beta-arg={value}")
+            assert code == 0 and f"# beta_arg={reduced}\n" in out
+            assert (code, out) == run(capsys, *argv, f"--beta-arg={reduced}")[:2]
+
+
 class TestVerify:
     def test_default_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--samples", "40")

@@ -182,6 +182,8 @@ class TestShift:
     def test_beta_arg_wraps(self):
         s = ShiftOperator(alpha=0.5, beta_arg=2 * np.pi)
         assert s.beta_arg == 0.0
+        # the residue 2 pi - 1e-20 rounds to 2 pi, the same phase as 0
+        assert ShiftOperator(alpha=0.5, beta_arg=-1e-20).beta_arg == 0.0
 
 
 class TestEvolution:

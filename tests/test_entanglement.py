@@ -105,7 +105,7 @@ class TestNormalized:
         assert (
             abs(
                 normalized_entanglement(expected_amps)
-                - normalized_entanglement(result.amps, result.term_count)
+                - normalized_entanglement(result.amps)
             )
             < 1e-12
         )

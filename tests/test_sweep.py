@@ -315,7 +315,7 @@ class TestGridSearch:
             result = measure_spin(evolve(coin, shift, hit.step), hit.outcome)
             assert abs(result.probability - hit.probability) < 1e-9
             assert result.term_count == hit.term_count
-            value = normalized_entanglement(result.amps, result.term_count)
+            value = normalized_entanglement(result.amps)
             assert abs(value - hit.normalized) < 1e-9
             assert value > 1 - 1e-9
 
