@@ -58,52 +58,6 @@ from .sweep import (
     sweep_1d,
 )
 
-__all__ = [
-    "__version__",
-    "BALANCED_ALPHA",
-    "TERM_THRESHOLD",
-    "UNITARITY_ATOL",
-    "MODULUS_ATOL",
-    "MAXIMAL_ATOL",
-    "Spin",
-    "CoinOperator",
-    "ShiftOperator",
-    "WalkState",
-    "CollapseResult",
-    "hadamard_coin",
-    "kempe_coin",
-    "z_coin",
-    "balanced_shift",
-    "initial_state",
-    "walk_batch",
-    "step",
-    "iter_steps",
-    "evolve",
-    "measure_spin",
-    "collapse_metrics",
-    "orthonormality_residual",
-    "verify_shift_unitarity",
-    "phase_factor",
-    "entropy",
-    "term_count",
-    "normalized_entanglement",
-    "EntanglementRecord",
-    "AveragedEntanglement",
-    "walk_entanglement_series",
-    "averaged_entanglement",
-    "Step2State",
-    "phi1",
-    "psi_up_2",
-    "psi_down_2",
-    "max_condition_up",
-    "CoinFamily",
-    "SweepMode",
-    "SweepSpec",
-    "SearchMode",
-    "MaxEntanglementHit",
-    "family_coin",
-    "grid_axis",
-    "sweep_1d",
-    "grid_search",
-    "find_max_cases",
-]
+#: every name imported above but the submodules
+_MODULES = {"analytic", "core", "entanglement", "sweep"}
+__all__ = ["__version__", *(name for name in dir() if name[0] != "_" and name not in _MODULES)]

@@ -29,6 +29,7 @@ from .core import (
     CoinOperator,
     ShiftOperator,
     Spin,
+    _real_coins,
     balanced_shift,
     initial_state,
     iter_steps,
@@ -75,15 +76,11 @@ _NEAR_BALANCED_ALPHA = 0.7071067812
 
 
 def _parse_alpha(text: str) -> float:
-    if text in _ALPHA_ALIASES:
-        return _ALPHA_ALIASES[text]
-    return float(text)
+    return _ALPHA_ALIASES[text] if text in _ALPHA_ALIASES else float(text)
 
 
 def _parse_angle(text: str) -> float:
-    if text in _ANGLE_ALIASES:
-        return _ANGLE_ALIASES[text]
-    return float(text)
+    return _ANGLE_ALIASES[text] if text in _ANGLE_ALIASES else float(text)
 
 
 def _parse_outcomes(text: str) -> tuple[Spin, ...]:
@@ -114,20 +111,12 @@ def _resolve_workers(value: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _write_csv(path, meta: dict, header: list[str], blocks) -> int:
     """Write metadata, header and row blocks to path (or standard output)."""
-    stream, close = _open_out(path)
-    try:
+    if path in (None, "-"):
+        return _emit(sys.stdout, meta, header, blocks)
+    with open(path, "w") as stream:
         return _emit(stream, meta, header, blocks)
-    finally:
-        if close:
-            stream.close()
 
 
 def _emit(stream, meta: dict, header: list[str], blocks) -> int:
@@ -207,9 +196,17 @@ def _add_operator_args(parser: argparse.ArgumentParser):
     )
 
 
+def _coin_flags(args) -> dict:
+    """The --rho, --theta and --eta that are set; a named coin reads none,
+    so with one of those any set flag is an error naming it."""
+    flags = {name: x for name in ("rho", "theta", "eta") if (x := getattr(args, name)) is not None}
+    if flags and args.coin != "general":
+        raise ValueError(f"--{next(iter(flags))} is not used with the {args.coin} coin")
+    return flags
+
+
 def _build_operators(args) -> tuple[CoinOperator, ShiftOperator]:
-    family = CoinFamily(args.coin)
-    coin = family_coin(family, rho=args.rho, theta=args.theta, eta=args.eta)
+    coin = family_coin(CoinFamily(args.coin), **_coin_flags(args))
     return coin, ShiftOperator(alpha=args.alpha, beta_arg=args.beta_arg)
 
 
@@ -229,7 +226,7 @@ def _operator_meta(coin: str, params: dict) -> dict:
 def cmd_evolve(args) -> int:
     coin, shift = _build_operators(args)
     outcomes = _parse_outcomes(args.outcome)  # down before up, the row order
-    series = _metric_series(coin.matrix()[None], shift.matrix()[None], args.steps)
+    series = _metric_series(_real_coins(**vars(coin), **vars(shift)), None, args.steps)
     texts = [  # each row's fields as `_lines` writes them
         [
             f"{n},{outcome.value},{p},{k},{e},{x}\n"
@@ -312,15 +309,13 @@ def cmd_sweep(args) -> int:
         raise ValueError("--figure conflicts with an explicit --sweep")
     if not args.figure and not explicit:
         raise ValueError("need either --figure or --sweep")
+    coin_flags = _coin_flags(args)
     if args.figure:
         desc, header, rows = _figure_rows(args.figure, args.steps)
         meta = {"command": "sweep", "figure": args.figure, "description": desc}
     else:
-        fixed = {  # alpha and beta_arg have defaults; the coin's three may be unset
-            name: getattr(args, name)
-            for name in PARAM_RANGES
-            if name != args.sweep and getattr(args, name) is not None
-        }
+        fixed = {"alpha": args.alpha, "beta_arg": args.beta_arg, **coin_flags}
+        fixed.pop(args.sweep, None)
         spec = SweepSpec(
             CoinFamily(args.coin),
             args.sweep,
@@ -424,10 +419,23 @@ def _suite_unitarity(samples: int, rng) -> tuple[list[str], float]:
     return failures, worst
 
 
+def _engine_residual(coin: CoinOperator, shift: ShiftOperator, n_steps: int = 800) -> float:
+    """Largest difference of P, N, E or normalized E over every step and
+    outcome between the complex walk of U and V and the real walk of r."""
+    full = _metric_series(coin.matrix()[None], shift.matrix()[None], n_steps)
+    real = _metric_series(_real_coins(**vars(coin), **vars(shift)), None, n_steps)
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(full, real))
+
+
 def _suite_oracle(samples: int, rng) -> tuple[list[str], float]:
     failures, worst_all = [], 0.0
-    for _ in range(samples):
+    for i in range(samples):
         coin, shift = _random(CoinOperator, rng), _random(ShiftOperator, rng)
+        if i < 3:  # N differs by at least 1, so a mismatch of N fails too
+            residual = _engine_residual(coin, shift)
+            worst_all = max(worst_all, residual)
+            if not residual <= 1e-12:  # NaN fails too
+                failures.append(f"real walk differs by {residual:.3e} at {coin} {shift}")
         one = step(initial_state(), coin, shift)
         up1, down1 = phi1(coin, shift)
         err1 = max(

@@ -15,7 +15,10 @@ amplitudes carry the walker-walker entanglement.
 After n steps the pair can only sit at sites 2k - n, where k counts the
 up moves, so amplitudes are stored by k in n + 1 slots.  One engine,
 `walk_batch`, evolves a batch of walks in that layout; `step`,
-`iter_steps` and `evolve` run it as a batch of one.  One function,
+`iter_steps` and `evolve` run it as a batch of one on complex U and V.
+Every metric depends only on r = |W00| of W = V U (`invariant`), so the
+metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
+(|W00|, |W01|) instead, one float64 mix per step.  One function,
 `collapse_metrics`, turns amplitudes into the outcome probability, the
 term count and the entropies, for one walk or a batch alike.
 """
@@ -38,6 +41,7 @@ __all__ = [
     "phase_factor",
     "coin_matrices",
     "shift_matrices",
+    "invariant",
     "hadamard_coin",
     "kempe_coin",
     "z_coin",
@@ -136,6 +140,30 @@ def shift_matrices(alpha, beta_arg) -> np.ndarray:
     m[..., 1, 0] = -np.conj(beta)
     m[..., 1, 1] = alpha
     return m
+
+
+def invariant(rho, theta, eta, alpha, beta_arg):
+    """(a, b) = (|W00|, |W01|) of W = V U, for scalar or array parameters.
+
+    A global phase and a rephasing of |down> take W to the real coin
+    [[a, b], [-b, a]], which walks with the same moduli, so every metric
+    depends on r = a alone.  W's entries are elementwise products of U's
+    and V's, as the engine applies them, so b is exactly 0 at the
+    product-state chains and a at the kempe bounce; (a, b) is divided by
+    its norm, so a^2 + b^2 = 1 to rounding.
+    """
+    u, v = coin_matrices(rho, theta, eta), shift_matrices(alpha, beta_arg)
+    a = np.abs(v[..., 0, 0] * u[..., 0, 0] + v[..., 0, 1] * u[..., 1, 0])
+    b = np.abs(v[..., 0, 0] * u[..., 0, 1] + v[..., 0, 1] * u[..., 1, 1])
+    norm = np.hypot(a, b)
+    return a / norm, b / norm
+
+
+def _real_coins(rho, theta, eta, alpha, beta_arg) -> np.ndarray:
+    """(B, 2, 2) float64 stack of the real coins [[a, b], [-b, a]] of
+    `invariant`, which `walk_batch(u, None, n)` walks."""
+    a, b = invariant(rho, theta, eta, alpha, beta_arg)
+    return np.stack([a, b, -b, a], axis=-1).reshape(-1, 2, 2)
 
 
 def _domain(name: str) -> tuple[float, float, bool]:
@@ -348,11 +376,11 @@ class WalkState:
 
 
 def initial_state() -> WalkState:
-    """The walk's starting state |up> (x) |0,0>.
+    """The walk's starting state |up> (x) |0,0>, the paper's modelling choice.
 
-    Any product initial state can be brought to this form by redefining
-    the spin axes and the origin of the line, so nothing is lost by
-    pinning it.
+    Other product start states are not reduced to it: the real coin at
+    r = 1/sqrt 2 started from (|up> + i|down>)/sqrt 2 keeps P_up = 1/2 at
+    every step, which no r reaches from |up>.
     """
     return WalkState(0, np.ones(1, np.complex128), np.zeros(1, np.complex128))
 
@@ -362,36 +390,44 @@ def _entries(m: np.ndarray):
     return tuple(tuple(m[:, i, j, None] for j in range(2)) for i in range(2))
 
 
-def _advance(amps: np.ndarray, n: int, u, v):
+def _advance(amps: np.ndarray, n: int, u, v=None):
     """Advance every walk in `amps` (2, B, >= n + 2) from step n to n + 1 in place.
 
     Slots k > n must hold zeros.  The coin and the shift mix are applied
     as two separate 2x2 mixes: multiplying them into one matrix first
     would leak rounding into the dead branch of the degenerate walks.
+    With v None, u is the whole mix.
     """
     up, down = amps[0, :, : n + 1], amps[1, :, : n + 1]
     bu = u[0][0] * up
     bu += u[0][1] * down
-    bd = u[1][0] * up
-    bd += u[1][1] * down
     new_up, new_down = amps[0, :, 1 : n + 2], amps[1, :, : n + 1]
-    np.multiply(v[0][0], bu, out=new_up)
-    new_up += v[0][1] * bd
-    np.multiply(v[1][0], bu, out=new_down)
-    new_down += v[1][1] * bd
+    if v is None:  # new_down is down, whose last use is here
+        down *= u[1][1]
+        down += u[1][0] * up
+        new_up[...] = bu
+    else:
+        bd = u[1][0] * up
+        bd += u[1][1] * down
+        np.multiply(v[0][0], bu, out=new_up)
+        new_up += v[0][1] * bd
+        np.multiply(v[1][0], bu, out=new_down)
+        new_down += v[1][1] * bd
     if n == 0:  # an up output always has made at least one up move
         amps[0, :, 0] = 0.0
 
 
 def walk_batch(
-    u: np.ndarray, v: np.ndarray, n_steps: int
+    u: np.ndarray, v: np.ndarray | None, n_steps: int
 ) -> Generator[tuple[int, np.ndarray], np.ndarray | None, None]:
     """Evolve a batch of walks from |up> (x) |0,0>, the one evolution engine.
 
-    u and v are (B, 2, 2) stacks of coin and shift matrices.  Yields
-    (n, amps) after each of steps 1..n_steps, where amps is a
-    (2, B, n + 1) view: row `Spin.row`, walk, then k = number of up
-    moves.  The view is overwritten by the next step; copy what you keep.
+    u and v are (B, 2, 2) stacks of coin and shift matrices, walked in
+    complex128.  With v None, u alone is the mix, and a float64 u such as
+    `_real_coins` gives walks in float64.  Yields (n, amps) after each of
+    steps 1..n_steps, where amps is a (2, B, n + 1) view: row `Spin.row`,
+    walk, then k = number of up moves.  The view is overwritten by the
+    next step; copy what you keep.
 
     A consumer can drop walks between steps: `send` a (B,) boolean mask
     of the walks to keep instead of calling `next`, and the later steps
@@ -402,18 +438,19 @@ def walk_batch(
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    amps = np.zeros((2, u.shape[0], n_steps + 1), dtype=np.complex128)
+    mixes = [u] if v is None else [u, v]
+    amps = np.zeros((2, u.shape[0], n_steps + 1), dtype=np.result_type(u, v))
     amps[0, :, 0] = 1.0
-    cu, cv = _entries(u), _entries(v)
+    entries = [_entries(m) for m in mixes]
     for n in range(n_steps):
-        _advance(amps, n, cu, cv)
+        _advance(amps, n, *entries)
         keep = yield n + 1, amps[:, :, : n + 2]
         if keep is not None:
-            u, v = u[keep], v[keep]
-            cu, cv = _entries(u), _entries(v)
-            kept = np.zeros((2, u.shape[0], n_steps + 1), dtype=np.complex128)
-            kept[:, :, : n + 2] = amps[:, keep, : n + 2]  # slots past n + 1 stay zero
-            amps = kept
+            mixes = [m[keep] for m in mixes]
+            entries = [_entries(m) for m in mixes]
+            kept = mixes[0].shape[0]  # those walks move to the front, in place
+            amps[:, :kept, : n + 2] = amps[:, keep, : n + 2]  # slots past n + 1 stay zero
+            amps = amps[:, :kept]
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
@@ -455,18 +492,6 @@ class CollapseMetrics(NamedTuple):
     normalized: np.ndarray
 
 
-def _collapse(amps: np.ndarray):
-    """(P, normalized amplitudes, their moduli, N) over the last axis.
-
-    Rows of probability zero normalize to zeros and count no terms.
-    """
-    weights = amps.real * amps.real + amps.imag * amps.imag
-    probability = weights.sum(axis=-1)
-    collapsed = amps / np.sqrt(np.where(probability > 0.0, probability, 1.0))[..., None]
-    moduli = np.abs(collapsed)
-    return probability, collapsed, moduli, np.count_nonzero(moduli > TERM_THRESHOLD, axis=-1)
-
-
 def normalized_ratio(e_bits, n_terms):
     """E / log2 N, or 0 when fewer than two terms survive the threshold.
 
@@ -482,15 +507,22 @@ def normalized_ratio(e_bits, n_terms):
 def collapse_metrics(amps: np.ndarray) -> CollapseMetrics:
     """P, N, E and normalized E of collapsing onto each row of `amps`.
 
-    The last axis holds position amplitudes, unnormalized: the squared
-    norm of a row is the outcome probability.  Each row is normalized,
-    then E = -sum |c|^2 log2 |c|^2 in bits (0 log 0 = 0).  A row of
-    probability zero gives P = N = E = 0.
+    The last axis holds position amplitudes, real or complex and
+    unnormalized: the squared norm of a row is the outcome probability.
+    The metrics come from the weights w = |c|^2 / P of the normalized row:
+    N counts w above TERM_THRESHOLD^2 and E = -sum w log2 w in bits
+    (0 log 0 = 0).  A row of probability zero gives P = N = E = 0.
     """
-    probability, _, moduli, n_terms = _collapse(amps)
-    weights = moduli * moduli
-    logs = np.log2(np.where(weights > 0.0, weights, 1.0))
-    e_bits = -(weights * logs).sum(axis=-1) + 0.0
+    weights = np.square(amps.real, dtype=np.float64)
+    if np.iscomplexobj(amps):
+        weights += amps.imag * amps.imag
+    probability = weights.sum(axis=-1)
+    weights /= np.where(probability > 0.0, probability, 1.0)[..., None]
+    n_terms = np.count_nonzero(weights > TERM_THRESHOLD * TERM_THRESHOLD, axis=-1)
+    terms = np.where(weights > 0.0, weights, 1.0)
+    np.log2(terms, out=terms)
+    terms *= weights
+    e_bits = -terms.sum(axis=-1) + 0.0
     return CollapseMetrics(probability, n_terms, e_bits, normalized_ratio(e_bits, n_terms))
 
 
@@ -533,12 +565,14 @@ def measure_spin(state: WalkState, outcome: Spin) -> CollapseResult:
     amplitudes are those of the collapsed position state.
     """
     amps = state.amps_up if outcome is Spin.UP else state.amps_down
-    probability, collapsed, _, n_terms = _collapse(amps)
+    probability = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
+    collapsed = amps / np.sqrt(probability if probability > 0.0 else 1.0)
+    n_terms = np.count_nonzero(np.abs(collapsed) > TERM_THRESHOLD)
     if probability == 0.0:
         collapsed = np.zeros(0, dtype=np.complex128)
     return CollapseResult(
         outcome=outcome,
-        probability=float(probability),
+        probability=probability,
         amps=collapsed,
         step=state.step,
         term_count=int(n_terms),

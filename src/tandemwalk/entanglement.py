@@ -9,11 +9,13 @@ values over steps 2..n of a walk, evaluated as if an independent copy of
 the walk were measured at each step.  Every measure here is computed by
 `core.collapse_metrics`.  The per-step series (`_metric_series`) and the
 average (`_averaged`) live here alone, over a batch of walks: the public
-functions run a batch of one, and `sweep` and the CLI index the same arrays.
-The series collapses a block of steps per call, each step's rows
-zero-padded to a width set by the step alone, so its values do not
-depend on the batch or the block; the average collapses each step's
-bare rows, so the two can differ in the last digit.
+functions run a batch of one, and `sweep` and the CLI index the same
+arrays.  Each measure depends only on r (`core.invariant`), so the public
+functions walk the real coin of r, not the complex U and V; the two give
+the same metrics to rounding.  The series collapses a block of steps per
+call, each step's rows zero-padded to a width set by the step alone, so
+its values do not depend on the batch or the block; the average
+collapses each step's bare rows, so the two can differ in the last digit.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from .core import (
     CollapseMetrics,
     ShiftOperator,
     Spin,
+    _real_coins,
     collapse_metrics,
     walk_batch,
 )
@@ -112,18 +115,18 @@ _BLOCK = 1 << 14
 
 
 def _padded_blocks(u, v, n_steps: int):
-    """Yield the amplitudes after steps 1..n_steps of the walks of the
-    (B, 2, 2) coin and shift stacks u and v, in order, as zero-padded
-    (steps, 2, B, width) blocks of consecutive steps of one `_WIDTH`
-    class, each at most `_BLOCK` amplitudes or one step.  A block is
-    overwritten by the next; collapse it before asking for that."""
+    """Yield the amplitudes after steps 1..n_steps of the `walk_batch`
+    walks of the stacks u and v, in order and in the engine's dtype, as
+    zero-padded (steps, 2, B, width) blocks of consecutive steps of one
+    `_WIDTH` class, each at most `_BLOCK` amplitudes or one step.  A block
+    is overwritten by the next; collapse it before asking for that."""
     steps, b = walk_batch(u, v, n_steps), u.shape[0]
     for width in range(_WIDTH, n_steps + _WIDTH + 1, _WIDTH):
         # the steps n of this width: width - _WIDTH < n + 1 <= width
         first, last = max(1, width - _WIDTH), min(width - 1, n_steps)
         size = max(1, min(last - first + 1, _BLOCK // (2 * b * width)))
         # zeroed once: a later step of the class overwrites every slot an earlier one wrote
-        block = np.zeros((size, 2, b, width), np.complex128)
+        block = np.zeros((size, 2, b, width), np.result_type(u, v))
         for start in range(first, last + 1, size):
             count = min(size, last + 1 - start)
             for i, (n, amps) in enumerate(islice(steps, count)):
@@ -132,8 +135,8 @@ def _padded_blocks(u, v, n_steps: int):
 
 
 def _metric_series(u, v, n_steps: int) -> CollapseMetrics:
-    """`collapse_metrics` after each of steps 1..n_steps of the walks of the
-    (B, 2, 2) coin and shift stacks u and v, each field stacked into an
+    """`collapse_metrics` after each of steps 1..n_steps of the `walk_batch`
+    walks of the stacks u and v, each field stacked into an
     (n_steps, 2, B) array indexed by step - 1, `Spin.row`, then walk.
 
     Steps collapse a `_padded_blocks` block at a time, so a walk's values
@@ -146,8 +149,9 @@ def _metric_series(u, v, n_steps: int) -> CollapseMetrics:
 
 def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
     """Mean normalized E over steps 2..n_steps (n_steps >= 2), the least P
-    over those steps and the last step's N of the walks that can still
-    have a mean above avg_threshold with every P above p_threshold.
+    over those steps and the last step's N of the `walk_batch` walks of
+    the stacks u and v that can still have a mean above avg_threshold
+    with every P above p_threshold.
 
     Returns (walks, mean, min_p, last_n): the indices of those walks in
     the batch, ascending, then one (2, len(walks)) array each by
@@ -184,10 +188,11 @@ def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
 
 
 def _batch_of_one(coin: CoinOperator, shift: ShiftOperator, n_steps: int):
-    """U and V of one walk as (1, 2, 2) stacks, once n_steps >= 2 is checked."""
+    """The real coin of one walk as a (1, 2, 2) stack and v = None, once
+    n_steps >= 2 is checked."""
     if n_steps < 2:
         raise ValueError(f"n_steps must be at least 2, got {n_steps}")
-    return coin.matrix()[None], shift.matrix()[None]
+    return _real_coins(**vars(coin), **vars(shift)), None
 
 
 def walk_entanglement_series(

@@ -9,18 +9,18 @@ arrays: points with equal keys have equal metrics (`_key_walks`), and
 `_fan_out` hands each key's hits to its points in grid order, a piece
 at a time, as index arrays.  `grid_search` and `find_max_cases` turn
 the pieces of `_search` into `MaxEntanglementHit` tuples; the CLI turns
-the same pieces into CSV text.  The scan
-cuts the product into chunks of consecutive points, sized so memory
-stays bounded, and builds each chunk's U and V; the reducer evolves the
-chunk through the one walk engine in `core` (`walk_batch` with
-`collapse_metrics`) into rows or hits.  Sweep rows index the per-step
-series and the average of `entanglement` (`_metric_series`,
-`_averaged`), the same code the single-walk functions run; the averaged
-grid search runs that average too and drops, between steps, the walks
-that can no longer become hits.  Grid-search chunks can also go to
-worker processes; chunk boundaries depend only on the grid, never on
-the worker count, so output order and content are identical for any
-parallelism.
+the same pieces into CSV text.  The scan cuts the product into chunks
+of consecutive points, sized so memory stays bounded, and builds each
+chunk's real coins of r (`core.invariant`): every metric depends on r
+alone.  The reducer evolves the chunk through the one walk engine in
+`core` (`walk_batch` in float64, with `collapse_metrics`) into rows or
+hits.  Sweep rows index the per-step series and the average of
+`entanglement` (`_metric_series`, `_averaged`), the same code the
+single-walk functions run; the averaged grid search runs that average
+too and drops, between steps, the walks that can no longer become hits.
+Grid-search chunks can also go to worker processes; chunk boundaries
+depend only on the grid, never on the worker count, so output order and
+content are identical for any parallelism.
 """
 
 from dataclasses import dataclass, field
@@ -38,11 +38,10 @@ from .core import (
     Spin,
     _checked,
     _domain,
-    coin_matrices,
+    _real_coins,
     collapse_metrics,
     hadamard_coin,
     kempe_coin,
-    shift_matrices,
     walk_batch,
     z_coin,
 )
@@ -247,7 +246,7 @@ _PIECE = 1 << 16
 
 
 def _auto_chunk(n_steps: int) -> int:
-    # a (batch, n + 1) complex array of about 4 MB: the walk and collapse
+    # a (batch, n + 1) float64 array of about 2 MB: the walk and collapse
     # temporaries around it cost several times that
     return max(4096, (1 << 18) // (n_steps + 1))
 
@@ -260,10 +259,10 @@ def _scan(axes, n_steps, reduce, *args, workers=1) -> Iterator:
     An axis holds one parameter, (size,), or k that move together,
     (size, k); the product's rows are the five parameters in
     `PARAM_RANGES` order, the last axis running fastest.  params are the
-    chunk's five parameter columns and u, v its (B, 2, 2) coin and shift
-    matrices.  Chunks hold `_auto_chunk` points.  workers > 1 spreads
-    them over that many processes, capped at the chunk count, so one
-    chunk starts none.
+    chunk's five parameter columns, and u, v the `walk_batch` pair of
+    its (B, 2, 2) real coins (`core._real_coins`) and None.  Chunks hold
+    `_auto_chunk` points.  workers > 1 spreads them over that many
+    processes, capped at the chunk count, so one chunk starts none.
     """
     total = int(np.prod([len(axis) for axis in axes]))
     chunk = _auto_chunk(n_steps)
@@ -282,12 +281,11 @@ def _scan(axes, n_steps, reduce, *args, workers=1) -> Iterator:
 
 
 def _scan_chunk(task):
-    """One chunk of `_scan`: its parameter columns, U and V, then the reducer."""
+    """One chunk of `_scan`: its parameter columns, real coins, then the reducer."""
     axes, start, stop, n_steps, reduce, args = task
     subs = np.unravel_index(np.arange(start, stop), [len(axis) for axis in axes])
     params = [row for axis, sub in zip(axes, subs) for row in axis[sub].T.reshape(-1, sub.size)]
-    u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
-    return start, reduce(params, u, v, n_steps, *args)
+    return start, reduce(params, _real_coins(*params), None, n_steps, *args)
 
 
 def _averaged_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
@@ -456,16 +454,6 @@ def grid_search(
     ))
 
 
-def _check_search(n_steps: int, p_threshold: float, maximal_atol: float):
-    if not 0.0 < p_threshold < 1.0:
-        raise ValueError(f"p_threshold must lie in (0, 1), got {p_threshold}")
-    if not 0.0 < maximal_atol < 1.0:
-        # normalized E lies in [0, 1]: 0 or less finds nothing, 1 or more takes product states
-        raise ValueError(f"maximal_atol must lie in (0, 1), got {maximal_atol}")
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
-
-
 def find_max_cases(
     coin_family: CoinFamily,
     n_max: int,
@@ -517,7 +505,13 @@ def _search(
         raise ValueError("averaged search scans the general coin only")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    _check_search(n_steps, p_threshold, maximal_atol)
+    if not 0.0 < p_threshold < 1.0:
+        raise ValueError(f"p_threshold must lie in (0, 1), got {p_threshold}")
+    if not 0.0 < maximal_atol < 1.0:
+        # normalized E lies in [0, 1]: 0 or less finds nothing, 1 or more takes product states
+        raise ValueError(f"maximal_atol must lie in (0, 1), got {maximal_atol}")
+    if n_steps < 2:
+        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
     if coin_family is CoinFamily.GENERAL:
         if mode is SearchMode.AVERAGED_HIGH and not 0.0 <= avg_threshold < 1.0:
             # normalized E is capped at 1, so no mean can exceed a threshold of 1 or more

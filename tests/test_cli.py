@@ -497,6 +497,24 @@ class TestParameterDomains:
             assert code == 0 and f"# beta_arg={reduced}\n" in out
             assert (code, out) == run(capsys, *argv, f"--beta-arg={reduced}")[:2]
 
+    @pytest.mark.parametrize("coin", ["hadamard", "kempe", "z"])
+    @pytest.mark.parametrize("flag", ["--rho", "--theta", "--eta"])
+    def test_named_coin_rejects_a_coin_flag(self, capsys, tmp_path, coin, flag):
+        """Neither command reads --rho, --theta or --eta with a named coin."""
+        out_path = tmp_path / "rows.csv"
+        for argv in (
+            ["evolve", "--steps", "2"],
+            ["sweep", "--sweep", "alpha", "--start", "0.1", "--stop", "0.2", "--step", "0.1",
+             "--steps", "2"],
+            ["sweep", "--figure", "fig6", "--steps", "2"],
+        ):
+            code, out, err = run(capsys, *argv, "--coin", coin, flag, "0.5", "--out", str(out_path))
+            assert code == 2 and out == "" and not out_path.exists()
+            assert err == f"error: {flag} is not used with the {coin} coin\n"
+            assert run(capsys, *argv, "--coin", coin)[0] == 0
+            general = ["--coin", "general", "--rho", "0.5", "--theta", "0.2", "--eta", "0.3"]
+            assert run(capsys, *argv, *general)[0] == 0
+
 
 class TestVerify:
     def test_default_passes(self, capsys):

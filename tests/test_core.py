@@ -19,7 +19,16 @@ from tandemwalk import (
     verify_shift_unitarity,
     z_coin,
 )
-from tandemwalk.core import coin_matrices, collapse_metrics, shift_matrices, walk_batch
+from tandemwalk.core import (
+    WalkState,
+    _real_coins,
+    coin_matrices,
+    collapse_metrics,
+    invariant,
+    shift_matrices,
+    walk_batch,
+)
+from tandemwalk.entanglement import _metric_series
 
 QUARTER = np.pi / 2
 
@@ -354,3 +363,102 @@ class TestInvariantEdges:
             assert np.max(np.abs(metrics.probability[likelier, walks] - 1.0)) < 1e-12
             assert np.all(metrics.term_count[likelier, walks] == 1)
             assert np.all(metrics.normalized[likelier, walks] == 0.0)
+
+
+def assert_same_series(got, expected, atol=1e-12):
+    """N equal on every row and step, P, E and normalized E within atol."""
+    assert np.array_equal(got.term_count, expected.term_count)
+    for field in ("probability", "entropy", "normalized"):
+        assert np.max(np.abs(getattr(got, field) - getattr(expected, field))) <= atol
+
+
+class TestRealWalk:
+    """Every metric is walked on the real coin [[a, b], [-b, a]] of `invariant`."""
+
+    SPECIAL = [  # (coin, shift, a, b): the two chains and the bounce
+        (hadamard_coin(), balanced_shift(0.0), 1.0, 0.0),
+        (kempe_coin(), balanced_shift(3 * QUARTER), 1.0, 0.0),
+        (kempe_coin(), balanced_shift(QUARTER), 0.0, 1.0),
+    ]
+
+    def special_params(self):
+        """(5, 3) parameter columns of the chains and the bounce."""
+        return np.array([[*vars(c).values(), *vars(s).values()] for c, s, *_ in self.SPECIAL]).T
+
+    @staticmethod
+    def stacks(count, seed):
+        """Seeded parameter columns and their complex U and V stacks."""
+        rng = np.random.default_rng(seed)
+        params = [rng.uniform(0, 1, count), *rng.uniform(0, np.pi, (2, count)),
+                  rng.uniform(0, 1, count), rng.uniform(0, 2 * np.pi, count)]
+        return params, coin_matrices(*params[:3]), shift_matrices(*params[3:])
+
+    def test_invariant_is_exact_at_the_chains_and_the_bounce(self):
+        for coin, shift, a, b in self.SPECIAL:
+            assert invariant(**vars(coin), **vars(shift)) == (a, b)
+        a, b = invariant(*np.repeat(self.special_params(), 4, axis=1))
+        assert np.array_equal(a, np.repeat([1.0, 1.0, 0.0], 4))
+        assert np.array_equal(b, np.repeat([0.0, 0.0, 1.0], 4))
+
+    def test_invariant_is_a_unit_pair_and_matches_the_closed_form(self):
+        (rho, theta, eta, alpha, beta_arg), _, _ = self.stacks(10_000, seed=41)
+        a, b = invariant(rho, theta, eta, alpha, beta_arg)
+        assert np.all(np.abs(a * a + b * b - 1.0) <= 2 * np.finfo(float).eps)
+        r2 = (alpha**2 * rho + (1 - alpha**2) * (1 - rho)
+              - 2 * alpha * np.sqrt((1 - alpha**2) * rho * (1 - rho))
+              * np.cos(beta_arg - theta - eta))
+        assert np.max(np.abs(a * a - r2)) < 1e-12
+
+    def test_equal_r_gives_equal_series(self):
+        """theta and eta enter r only through theta + eta: split one sum four
+        ways and walk the complex engine."""
+        rng = np.random.default_rng(43)
+        rho, alpha, beta_arg = rng.uniform(0, 1, 5), rng.uniform(0, 1, 5), rng.uniform(0, 6, 5)
+        total = rng.uniform(0, np.pi, 5)
+        split = np.array([0.0, 0.3, 0.6, 1.0])[:, None] * total  # (4, 5)
+        u = coin_matrices(np.tile(rho, 4), split.ravel(), (total - split).ravel())
+        v = shift_matrices(np.tile(alpha, 4), np.tile(beta_arg, 4))
+        series = _metric_series(u, v, 200)
+        first = series._make(field[:, :, :5] for field in series)
+        for j in range(5, 20, 5):
+            assert_same_series(series._make(field[:, :, j : j + 5] for field in series), first)
+
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_real_and_complex_series_agree(self, n):
+        params, u, v = self.stacks(6, seed=n)
+        params = np.c_[np.array(params), self.special_params()]
+        u = np.concatenate([u, coin_matrices(*params[:3, 6:])])
+        v = np.concatenate([v, shift_matrices(*params[3:, 6:])])
+        real = _real_coins(*params)
+        assert real.dtype == np.float64
+        assert_same_series(_metric_series(real, None, n), _metric_series(u, v, n))
+        for (_, full), (_, amps) in zip(walk_batch(u, v, n), walk_batch(real, None, n)):
+            assert amps.dtype == np.float64
+            assert_same_series(collapse_metrics(amps), collapse_metrics(full))
+
+    def test_chains_and_bounce_stay_exact_to_step_800(self):
+        series = _metric_series(_real_coins(*self.special_params()), None, 800)
+        assert np.all(series.probability[:, Spin.DOWN.row, :2] == 0.0)
+        assert np.all(series.probability[:, Spin.UP.row, :2] == 1.0)
+        assert np.all(series.entropy == 0.0) and np.all(series.normalized == 0.0)
+        assert np.all(series.term_count <= 1)
+
+
+class TestInitialState:
+    def test_a_product_start_state_that_no_r_reproduces(self):
+        """(|up> + i|down>)/sqrt 2 under the real coin at r = 1/sqrt 2 keeps
+        P_up = 1/2; from |up>, every r misses that series by more than 0.23."""
+        half = np.sqrt(0.5)
+        state = WalkState(0, np.array([half + 0j]), np.array([1j * half]))
+        coin, shift = CoinOperator(0.5, 0.0, 0.0), ShiftOperator(1.0)
+        assert invariant(**vars(coin), **vars(shift))[0] == half
+        for _ in range(40):
+            state = step(state, coin, shift)
+            assert abs(measure_spin(state, Spin.UP).probability - 0.5) < 1e-12
+        r = np.linspace(0.0, 1.0, 2001)
+        real = np.stack([r, np.sqrt(1 - r * r), -np.sqrt(1 - r * r), r], axis=-1)
+        worst = np.zeros(r.size)
+        for _, amps in walk_batch(real.reshape(-1, 2, 2), None, 40):
+            p_up = collapse_metrics(amps).probability[Spin.UP.row]
+            worst = np.maximum(worst, np.abs(p_up - 0.5))
+        assert worst.min() > 0.23

@@ -24,6 +24,7 @@ from tandemwalk.sweep import PARAM_RANGES, MaxEntanglementHit, family_coin
 from tandemwalk.core import (
     CoinOperator,
     ShiftOperator,
+    _real_coins,
     coin_matrices,
     collapse_metrics,
     shift_matrices,
@@ -429,12 +430,13 @@ class TestAveragedPruning:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        """Grid points, their keys, and the key walks' U, V and unpruned
-        (mean, min P, last N), one batch."""
+        """Grid points, their keys, and the key walks' real coins (v None),
+        as the search walks them, and unpruned (mean, min P, last N), one
+        batch."""
         axes = [grid_axis(name, self.GRID) for name in PARAM_RANGES]
         (rho, rest), key, n_keys = sweep._key_walks(axes)
         walks = [np.repeat(rho, len(rest)), *np.tile(rest, (rho.size, 1)).T]
-        u, v = coin_matrices(*walks[:3]), shift_matrices(*walks[3:])
+        u, v = _real_coins(*walks), None
         index, mean, min_p, last_n = _averaged(u, v, self.STEPS)
         assert index.tolist() == list(range(n_keys))
         shape = [axis.size for axis in axes]
@@ -606,7 +608,9 @@ class TestKeyedSearch:
     def test_isolated_threshold_at_a_value(self, per_point):
         grid, _, near, _ = per_point
         maximal = near[near[:, 3] > 1 - sweep.MAXIMAL_ATOL]
-        p_threshold = float(np.median(maximal[maximal[:, 4] > 0.15, 4]))
+        # the threshold is a value of the real walk that the search runs
+        base = list(grid_search(grid, self.STEPS, SearchMode.ISOLATED_MAX, p_threshold=0.15))
+        p_threshold = float(np.median([hit.probability for hit in base]))
         rows = maximal[maximal[:, 4] > p_threshold]
         hits = list(grid_search(grid, self.STEPS, SearchMode.ISOLATED_MAX, p_threshold=p_threshold))
         j, step, row = rows[:, :3].astype(int).T
