@@ -7,8 +7,9 @@ on the worker count.  Every field is the `str` of its value, and `_emit`
 writes rows a block of text at a time: a row per block for sweeps, one
 block for a walk, whose rows are each one f-string over its series'
 columns, and a fan-out piece per block for searches, whose axis values
-and key hits are each formatted once per search or piece and joined
-into rows.
+and key hits are each formatted once per search or piece.  A search row
+joins three texts: the `rho,theta,eta,alpha,` prefix, made once for the
+run of rows of one beta_arg row of the grid, its beta_arg and its key hit.
 """
 
 import argparse
@@ -350,16 +351,26 @@ def cmd_sweep(args) -> int:
 def _search_blocks(axes, pieces):
     """One block per search piece.  Each axis value, and each key hit a
     piece uses, is formatted once as the `str` of the value a
-    `MaxEntanglementHit` holds, and one join of those texts makes the
+    `MaxEntanglementHit` holds.  Consecutive rows of one beta_arg row of
+    the grid share one `rho,theta,eta,alpha,` prefix, made once per such
+    group, and one join of prefix, beta_arg and key-hit texts makes the
     piece's rows."""
-    labels = [np.array([str(x) + "," for x in axis.tolist()], dtype=object) for axis in axes]
-    for subs, hits, columns in pieces:
+    *heads, betas = (
+        np.array([str(x) + "," for x in axis.tolist()], dtype=object) for axis in axes
+    )
+    shape = [label.size for label in heads]
+    for points, hits, columns in pieces:
         used, inverse = np.unique(hits, return_inverse=True)
         step, rows, *metrics = (column[used].tolist() for column in columns)
         spins = [_SPINS[r] for r in rows]
         tails = [",".join(map(str, hit)) + "\n" for hit in zip(step, spins, *metrics)]
-        fields = [label[sub].tolist() for label, sub in zip(labels, subs)]
-        fields.append(np.array(tails, dtype=object)[inverse].tolist())
+        grid_rows, beta = np.divmod(points, betas.size)
+        starts = np.flatnonzero(np.diff(grid_rows, prepend=-1))
+        subs = np.unravel_index(grid_rows[starts], shape)
+        rho, theta, eta, alpha = (label[sub] for label, sub in zip(heads, subs))
+        prefixes = np.repeat(rho + theta + eta + alpha, np.diff(starts, append=points.size))
+        tails = np.array(tails, dtype=object)[inverse]
+        fields = prefixes.tolist(), betas[beta].tolist(), tails.tolist()
         yield "".join(chain.from_iterable(zip(*fields))), hits.size
 
 

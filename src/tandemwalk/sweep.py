@@ -6,13 +6,15 @@ plus a reducer.  A sweep is four one-value axes and the swept one, a
 catalog is the named coin's three values and its alpha and beta_arg
 grids.  A grid search scans one walk per key of its five `grid_axis`
 arrays: points with equal keys have equal metrics (`_key_walks`), and
-`_fan_out` hands each key's hits to its points in grid order, a piece
-at a time, as index arrays.  `grid_search` and `find_max_cases` turn
-the pieces of `_search` into `MaxEntanglementHit` tuples; the CLI turns
-the same pieces into CSV text.  The scan cuts the product into chunks
-of consecutive points, sized so memory stays bounded, and builds each
-chunk's real coins of r (`core.invariant`): every metric depends on r
-alone.  The reducer evolves the chunk through the one walk engine in
+`_fan_out` hands each key's hits to its points in grid order, as flat
+point indices, a piece at a time; it keys the grid a block of whole
+beta_arg rows at a time, broadcasting one index column per leading axis
+against the row of beta_arg indices.  `grid_search` and `find_max_cases`
+turn the pieces of `_search` into `MaxEntanglementHit` tuples; the CLI
+turns the same pieces into CSV text.  The scan cuts the product into
+chunks of consecutive points, sized so memory stays bounded, and builds
+each chunk's real coins of r (`core.invariant`): every metric depends on
+r alone.  The reducer evolves the chunk through the one walk engine in
 `core` (`walk_batch` in float64, with `collapse_metrics`) into rows or
 hits.  Sweep rows index the per-step series and the average of
 `entanglement` (`_metric_series`, `_averaged`), the same code the
@@ -354,38 +356,45 @@ def _averaged_hits(params, u, v, n_steps, p_threshold, avg_threshold):
 
 
 def _fan_out(axes, key, n_keys, scan) -> Iterator:
-    """Yield `(subs, hits, columns)` per piece of the grid `axes`: one entry
-    per point and hit of its key, in grid order.  subs index each axis at
-    the entry's point, hits index the key-hit columns (step, spin row,
-    normalized E, P, N), the whole arrays of which go out with every
-    piece.  scan is `_scan` over one walk per key with `_isolated_hits` or
-    `_averaged_hits`, and key maps a chunk's index arrays into the axes to
-    keys.  Points go in chunks of `_PIECE`, each cut into pieces of about
-    `_PIECE` hits; with no hit at all no point is visited."""
+    """Yield `(points, hits, columns)` per piece of the grid `axes`: one
+    entry per point and hit of its key, in grid order.  points are the
+    entries' flat indices into the grid, hits index the key-hit columns
+    (step, spin row, normalized E, P, N), the whole arrays of which go
+    out with every piece.  scan is `_scan` over one walk per key with
+    `_isolated_hits` or `_averaged_hits`, and key maps index arrays into
+    the axes to keys; a chunk's come as one (m, 1) column per leading
+    axis and a (1, n_beta) row of beta_arg indices, which it broadcasts.
+    Points go in chunks of whole beta_arg rows, at most
+    max(`_PIECE`, n_beta) points, each cut into pieces of about `_PIECE`
+    hits; with no hit at all no point is visited."""
     found = [(start + walks, *rest) for start, (walks, *rest) in scan]
     if not any(walks.size for walks, *_ in found):
         return
     keys, *columns = (np.concatenate(column) for column in zip(*found))
     counts = np.bincount(keys, minlength=n_keys)
     first = np.cumsum(counts) - counts
-    shape = [axis.size for axis in axes]
-    total = int(np.prod(shape))
-    for start in range(0, total, _PIECE):
-        subs = np.unravel_index(np.arange(start, min(start + _PIECE, total)), shape)
-        point_keys = key(subs)
+    *shape, n_beta = [axis.size for axis in axes]
+    n_rows, chunk = int(np.prod(shape)), max(1, _PIECE // n_beta)
+    beta = np.arange(n_beta)[None]
+    for row in range(0, n_rows, chunk):
+        heads = np.unravel_index(np.arange(row, min(row + chunk, n_rows)), shape)
+        point_keys = key([head[:, None] for head in heads] + [beta]).ravel()
         ends = np.cumsum(counts[point_keys])
         cuts = [0, *(np.flatnonzero(np.diff(ends // _PIECE)) + 1).tolist(), ends.size]
+        start = row * n_beta
         for lo, hi in zip(cuts, cuts[1:]):
             piece_keys = point_keys[lo:hi]
             n = counts[piece_keys]
-            points = np.repeat(np.arange(lo, hi), n)
+            points = np.repeat(np.arange(start + lo, start + hi), n)
             hits = np.arange(points.size) + np.repeat(first[piece_keys] - (np.cumsum(n) - n), n)
-            yield [sub[points] for sub in subs], hits, columns
+            yield points, hits, columns
 
 
 def _hits(axes, pieces) -> Iterator[MaxEntanglementHit]:
     """The `MaxEntanglementHit` of each entry of `_fan_out`'s pieces."""
-    for subs, hits, (steps, rows, *metrics) in pieces:
+    shape = [axis.size for axis in axes]
+    for points, hits, (steps, rows, *metrics) in pieces:
+        subs = np.unravel_index(points, shape)
         params = [axis[sub].tolist() for axis, sub in zip(axes, subs)]
         step, spins = steps[hits].tolist(), [_SPINS[r] for r in rows[hits].tolist()]
         columns = (column[hits].tolist() for column in metrics)
@@ -394,9 +403,9 @@ def _hits(axes, pieces) -> Iterator[MaxEntanglementHit]:
 
 def _key_walks(axes):
     """([rho, rest], key, n_keys): `_scan` axes of one walk per key of the
-    grid `axes`, at the key's first point, and the map of a chunk's index
-    arrays into `axes` to keys.  The key (rho index, (|m|, c mod 2),
-    alpha index) fixes r = |W00| and so every metric, where
+    grid `axes`, at the key's first point, and the map of index arrays
+    into `axes`, flat or broadcasting, to keys.  The key (rho index,
+    (|m|, c mod 2), alpha index) fixes r = |W00| and so every metric, where
     beta_arg - theta - eta = m h - c pi (README, "The engine")."""
     rho, theta, eta, alpha, beta_arg = axes
     shape = (theta.size, eta.size, beta_arg.size)
@@ -517,6 +526,12 @@ def _search(
             # normalized E is capped at 1, so no mean can exceed a threshold of 1 or more
             raise ValueError(f"avg_threshold must lie in [0, 1), got {avg_threshold}")
         axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
+        cells = axes[1].size * axes[2].size * axes[4].size
+        if cells > 10**7:  # _key_walks builds a table of this many index triples
+            raise ValueError(
+                f"grid step {grid_step} gives {cells:,} (theta, eta, beta_arg) cells, "
+                "more than 10^7"
+            )
         if mode is SearchMode.ISOLATED_MAX:
             reduce, args = _isolated_hits, (p_threshold, maximal_atol)
         else:

@@ -1,3 +1,4 @@
+import time
 from itertools import zip_longest
 
 import numpy as np
@@ -311,6 +312,16 @@ class TestSearch:
                              "--out", str(out_path))
         assert code == 2 and out == ""
         assert err.startswith("error: grid step must be positive")
+        assert not out_path.exists()
+
+    def test_too_fine_a_grid_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "hits.csv"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search", "--grid", "0.005", "--steps", "2",
+                             "--out", str(out_path))
+        assert time.perf_counter() - start < 5  # rejected before any table is built
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid step 0.005 gives ") and "10^7" in err
         assert not out_path.exists()
 
     def test_isolated_coarse_grid(self, capsys):
@@ -747,6 +758,17 @@ class TestSearchBytes:
         used = [set(piece_hits.tolist()) for _, piece_hits, _ in pieces]
         assert any(a & b for a, b in zip(used, used[1:]))  # a key hit in two pieces
         self.assert_bytes(capsys, ["--grid", "0.6", "--steps", "10", "--workers", "1"], hits)
+
+    @pytest.mark.parametrize("mode", ["isolated", "averaged"])
+    def test_piece_size_does_not_change_bytes(self, capsys, monkeypatch, mode):
+        # 11 beta_arg values a grid row: chunks of one row, of 4 rows, and the whole grid
+        argv = ["--mode", mode, "--grid", "0.6", "--steps", "30", "--p-min", "0.05",
+                "--avg-min", "0.5", "--workers", "1"]
+        whole = run(capsys, "search", *argv)
+        assert len(body(whole[1]).splitlines()) > 1000
+        for piece in (7, 50):
+            monkeypatch.setattr(sweep, "_PIECE", piece)
+            assert run(capsys, "search", *argv) == whole
 
 
 class TestEvolveBytes:

@@ -255,6 +255,39 @@ class TestChunking:
         assert calls == [6] and len(whole) > 7
 
 
+class TestFanOutChunks:
+    """`_fan_out` asks for its points' keys a chunk of whole beta_arg rows
+    at a time, at most max(`_PIECE`, n_beta) points, in grid order."""
+
+    @pytest.mark.parametrize("piece", [7, None])
+    @pytest.mark.parametrize("grid", [0.6, 0.3])
+    def test_key_calls_tile_the_grid_in_whole_rows(self, monkeypatch, grid, piece):
+        if piece is not None:
+            monkeypatch.setattr(sweep, "_PIECE", piece)
+        axes = [grid_axis(name, grid) for name in PARAM_RANGES]
+        shape = [axis.size for axis in axes]
+        walk_axes, key, n_keys = sweep._key_walks(axes)
+        calls = []
+
+        def recording(subs):
+            keys = key(subs)
+            calls.append((np.ravel_multi_index(subs, shape).ravel(), keys.ravel()))
+            return keys
+
+        scan = sweep._scan(walk_axes, 10, sweep._isolated_hits, 0.15, sweep.MAXIMAL_ATOL)
+        pieces = sweep._fan_out(axes, recording, n_keys, scan)
+        assert sum(points.size for points, _, _ in pieces) > 0
+        n_beta, start = shape[-1], 0
+        for points, keys in calls:
+            assert points.size % n_beta == 0
+            assert 0 < points.size <= max(sweep._PIECE, n_beta)
+            assert np.array_equal(points, np.arange(start, start + points.size))
+            # the same keys as key's flat index arrays give
+            assert np.array_equal(keys, key(np.unravel_index(points, shape)))
+            start += points.size
+        assert start == np.prod(shape)
+
+
 class TestBatchEngine:
     def test_matches_single_walk_engine(self):
         rng = np.random.default_rng(53)
@@ -412,6 +445,24 @@ class TestGridSearch:
             grid_search(0.9, 4, SearchMode.AVERAGED_HIGH, avg_threshold=avg_threshold)
         # isolated mode has no average to bound
         grid_search(0.9, 4, SearchMode.ISOLATED_MAX, avg_threshold=avg_threshold)
+
+    def test_key_table_bounded_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_key_walks", lambda axes: pytest.fail("key table built"))
+        tracemalloc.start()
+        try:
+            for grid, cells in [(0.01, "62,809,424"), (0.005, "498,903,300")]:
+                with pytest.raises(ValueError, match=f"grid step {grid} gives {cells} "):
+                    grid_search(grid, 2, SearchMode.ISOLATED_MAX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        built = []
+        monkeypatch.setattr(sweep, "_key_walks", lambda axes: built.append(axes) or ([], None, 0))
+        for grid, cells in [(0.05, 516_096), (0.02, 7_963_515)]:  # allowed
+            grid_search(grid, 2, SearchMode.AVERAGED_HIGH)
+            _, theta, eta, _, beta_arg = built[-1]
+            assert theta.size * eta.size * beta_arg.size == cells
 
     @pytest.mark.parametrize("maximal_atol", [-1.0, 0.0, 1.0, 5.0, float("nan")])
     def test_maximal_atol_range_checked_on_call(self, maximal_atol):
