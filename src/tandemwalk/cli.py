@@ -32,12 +32,14 @@ from .core import (
     Spin,
     _real_coins,
     balanced_shift,
+    collapse_metrics,
     initial_state,
     iter_steps,
     measure_spin,
     orthonormality_residual,
     step,
     verify_shift_unitarity,
+    walk_batch,
 )
 from .entanglement import _metric_series
 from .sweep import (
@@ -227,7 +229,7 @@ def _operator_meta(coin: str, params: dict) -> dict:
 def cmd_evolve(args) -> int:
     coin, shift = _build_operators(args)
     outcomes = _parse_outcomes(args.outcome)  # down before up, the row order
-    series = _metric_series(_real_coins(**vars(coin), **vars(shift)), None, args.steps)
+    series = _metric_series(_real_coins(**vars(coin), **vars(shift)), args.steps)
     texts = [  # each row's fields as `_lines` writes them
         [
             f"{n},{outcome.value},{p},{k},{e},{x}\n"
@@ -433,9 +435,10 @@ def _suite_unitarity(samples: int, rng) -> tuple[list[str], float]:
 def _engine_residual(coin: CoinOperator, shift: ShiftOperator, n_steps: int = 800) -> float:
     """Largest difference of P, N, E or normalized E over every step and
     outcome between the complex walk of U and V and the real walk of r."""
-    full = _metric_series(coin.matrix()[None], shift.matrix()[None], n_steps)
-    real = _metric_series(_real_coins(**vars(coin), **vars(shift)), None, n_steps)
-    return max(float(np.max(np.abs(x - y))) for x, y in zip(full, real))
+    full = walk_batch(coin.matrix()[None], shift.matrix()[None], n_steps)
+    real = walk_batch(_real_coins(**vars(coin), **vars(shift)), None, n_steps)
+    pairs = (zip(collapse_metrics(x), collapse_metrics(y)) for (_, x), (_, y) in zip(full, real))
+    return max(float(np.max(np.abs(x - y))) for pair in pairs for x, y in pair)
 
 
 def _suite_oracle(samples: int, rng) -> tuple[list[str], float]:
@@ -471,10 +474,13 @@ def _suite_oracle(samples: int, rng) -> tuple[list[str], float]:
 
 
 def _suite_special_points(n_steps: int = 500) -> tuple[list[str], float]:
-    """Chains and the bounce; the residual is the largest deviation of a
-    chain amplitude's modulus from 1, of a chain's down probability from
-    0, or of a bounce amplitude beside the one that carries the state
-    from 0 (the modulus a spurious term would have).
+    """Chains and the bounce, on the complex walk and on the real walk of
+    r that every CSV comes from.  The residual is the largest deviation
+    of a chain amplitude's modulus from 1, of a chain's P_down from 0, or
+    of a bounce amplitude beside the one that carries the state from 0
+    (the modulus a spurious term would have), and on the real walk of a
+    chain's P_down from 0, P_up from 1 or E from 0, or of the bounce's
+    largest N from 1.  The real walk must hit those values exactly.
     """
     failures, worst = [], 0.0
     chains = [
@@ -505,6 +511,19 @@ def _suite_special_points(n_steps: int = 500) -> tuple[list[str], float]:
         if up.term_count > 1 or down.term_count > 1:
             failures.append(f"kempe, beta phase pi/2: entangled terms at step {state.step}")
             break
+    points = [(coin, shift) for _, coin, shift in chains] + [(coin, balanced_shift(_QUARTER))]
+    params = np.array([[*vars(c).values(), *vars(s).values()] for c, s in points]).T
+    real = _metric_series(_real_coins(*params), n_steps)
+    chain = np.max([  # by step, over the two chains
+        np.abs(real.probability[:, Spin.DOWN.row, :2]),
+        np.abs(real.probability[:, Spin.UP.row, :2] - 1.0),
+        np.abs(real.entropy[:, :, :2]).max(axis=1),
+    ], axis=(0, 2))
+    bounce = real.term_count[:, :, 2].max(axis=1) - 1
+    worst = max(worst, float(chain.max()), float(bounce.max()))
+    for label, broken in (("chains", chain != 0.0), ("kempe bounce", bounce > 0)):
+        if broken.any():
+            failures.append(f"real walk of r, {label}: not exact at step {np.argmax(broken) + 1}")
     return failures, worst
 
 
@@ -598,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if argv and argv[0] in {"evolve", "sweep", "search", "verify"}:
+    if argv and argv[0] in {"evolve", "sweep", "search"}:  # the commands with --config
         try:
             argv = [argv[0], *_merge_config(argv[1:])]
         except (OSError, ValueError) as exc:

@@ -18,9 +18,11 @@ up moves, so amplitudes are stored by k in n + 1 slots.  One engine,
 `iter_steps` and `evolve` run it as a batch of one on complex U and V.
 Every metric depends only on r = |W00| of W = V U (`invariant`), so the
 metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
-(|W00|, |W01|) instead, one float64 mix per step.  One function,
-`collapse_metrics`, turns amplitudes into the outcome probability, the
-term count and the entropies, for one walk or a batch alike.
+(|W00|, |W01|) instead, one float64 mix per step: the metric helpers of
+`entanglement` and `sweep` take a stack of those coins (`_real_coins`)
+alone.  One function, `collapse_metrics`, turns amplitudes into the
+outcome probability, the term count and the entropies, for one walk or
+a batch alike; `measure_spin` takes its P and N from it too.
 """
 
 import numpy as np
@@ -533,8 +535,8 @@ class CollapseResult:
     amps holds the normalized position amplitudes of the post-measurement
     state by k, as in `WalkState` (empty when the outcome has zero
     probability, which is a valid degenerate result rather than an error:
-    downstream averages assign it zero entanglement).  term_count counts
-    amplitudes with modulus above the threshold.
+    downstream averages assign it zero entanglement).  term_count is N
+    of `collapse_metrics`, the weights |c|^2 / P above TERM_THRESHOLD^2.
     """
 
     outcome: Spin
@@ -561,18 +563,16 @@ class CollapseResult:
 def measure_spin(state: WalkState, outcome: Spin) -> CollapseResult:
     """Project the walk state onto a spin outcome and normalize.
 
-    probability is the chance of obtaining the outcome; the returned
-    amplitudes are those of the collapsed position state.
+    probability and term_count are P and N of `collapse_metrics`; the
+    returned amplitudes, divided by sqrt(P), are those of the collapsed
+    position state.
     """
     amps = state.amps_up if outcome is Spin.UP else state.amps_down
-    probability = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
-    collapsed = amps / np.sqrt(probability if probability > 0.0 else 1.0)
-    n_terms = np.count_nonzero(np.abs(collapsed) > TERM_THRESHOLD)
-    if probability == 0.0:
-        collapsed = np.zeros(0, dtype=np.complex128)
+    probability, n_terms = collapse_metrics(amps)[:2]
+    collapsed = amps / np.sqrt(probability) if probability > 0.0 else np.zeros(0, np.complex128)
     return CollapseResult(
         outcome=outcome,
-        probability=probability,
+        probability=float(probability),
         amps=collapsed,
         step=state.step,
         term_count=int(n_terms),

@@ -10,9 +10,10 @@ the walk were measured at each step.  Every measure here is computed by
 `core.collapse_metrics`.  The per-step series (`_metric_series`) and the
 average (`_averaged`) live here alone, over a batch of walks: the public
 functions run a batch of one, and `sweep` and the CLI index the same
-arrays.  Each measure depends only on r (`core.invariant`), so the public
-functions walk the real coin of r, not the complex U and V; the two give
-the same metrics to rounding.  The series collapses a block of steps per
+arrays.  Each measure depends only on r (`core.invariant`), so the helpers
+take one input, a (B, 2, 2) float64 stack of real coins of r
+(`core._real_coins`), never the complex U and V; the two walks give the
+same metrics to rounding.  The series collapses a block of steps per
 call, each step's rows zero-padded to a width set by the step alone, so
 its values do not depend on the batch or the block; the average
 collapses each step's bare rows, so the two can differ in the last digit.
@@ -45,13 +46,11 @@ __all__ = [
 
 def _normalized_metrics(amps: np.ndarray):
     """Collapse metrics of amplitudes that must already be normalized."""
-    amps = np.asarray(amps, dtype=np.complex128)
-    total = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(
-            f"position amplitudes must be normalized: sum |c|^2 = {total!r}"
-        )
-    return collapse_metrics(amps)
+    metrics = collapse_metrics(np.asarray(amps, dtype=np.complex128))
+    if abs(metrics.probability - 1.0) > 1e-10:
+        total = float(metrics.probability)
+        raise ValueError(f"position amplitudes must be normalized: sum |c|^2 = {total!r}")
+    return metrics
 
 
 def entropy(amps: np.ndarray) -> float:
@@ -114,19 +113,19 @@ _WIDTH = 32
 _BLOCK = 1 << 14
 
 
-def _padded_blocks(u, v, n_steps: int):
-    """Yield the amplitudes after steps 1..n_steps of the `walk_batch`
-    walks of the stacks u and v, in order and in the engine's dtype, as
+def _padded_blocks(coins, n_steps: int):
+    """Yield the amplitudes after steps 1..n_steps of the walks of the
+    (B, 2, 2) real coin stack `coins`, in order and in its dtype, as
     zero-padded (steps, 2, B, width) blocks of consecutive steps of one
     `_WIDTH` class, each at most `_BLOCK` amplitudes or one step.  A block
     is overwritten by the next; collapse it before asking for that."""
-    steps, b = walk_batch(u, v, n_steps), u.shape[0]
+    steps, b = walk_batch(coins, None, n_steps), coins.shape[0]
     for width in range(_WIDTH, n_steps + _WIDTH + 1, _WIDTH):
         # the steps n of this width: width - _WIDTH < n + 1 <= width
         first, last = max(1, width - _WIDTH), min(width - 1, n_steps)
         size = max(1, min(last - first + 1, _BLOCK // (2 * b * width)))
         # zeroed once: a later step of the class overwrites every slot an earlier one wrote
-        block = np.zeros((size, 2, b, width), np.result_type(u, v))
+        block = np.zeros((size, 2, b, width), coins.dtype)
         for start in range(first, last + 1, size):
             count = min(size, last + 1 - start)
             for i, (n, amps) in enumerate(islice(steps, count)):
@@ -134,24 +133,24 @@ def _padded_blocks(u, v, n_steps: int):
             yield block[:count]
 
 
-def _metric_series(u, v, n_steps: int) -> CollapseMetrics:
-    """`collapse_metrics` after each of steps 1..n_steps of the `walk_batch`
-    walks of the stacks u and v, each field stacked into an
+def _metric_series(coins, n_steps: int) -> CollapseMetrics:
+    """`collapse_metrics` after each of steps 1..n_steps of the walks of
+    the real coin stack `coins`, each field stacked into an
     (n_steps, 2, B) array indexed by step - 1, `Spin.row`, then walk.
 
     Steps collapse a `_padded_blocks` block at a time, so a walk's values
     are the same to the bit alone or in any batch.  The zero padding can
     move the floats in the last digit from a collapse of the bare row,
     which `_averaged` and the searches run; N never moves.  n_steps >= 1."""
-    blocks = (collapse_metrics(block) for block in _padded_blocks(u, v, n_steps))
+    blocks = (collapse_metrics(block) for block in _padded_blocks(coins, n_steps))
     return CollapseMetrics(*map(np.concatenate, zip(*blocks)))
 
 
-def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
+def _averaged(coins, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
     """Mean normalized E over steps 2..n_steps (n_steps >= 2), the least P
-    over those steps and the last step's N of the `walk_batch` walks of
-    the stacks u and v that can still have a mean above avg_threshold
-    with every P above p_threshold.
+    over those steps and the last step's N of the walks of the real coin
+    stack `coins` that can still have a mean above avg_threshold with
+    every P above p_threshold.
 
     Returns (walks, mean, min_p, last_n): the indices of those walks in
     the batch, ascending, then one (2, len(walks)) array each by
@@ -163,11 +162,11 @@ def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
     are the same as in a batch that dropped nothing.  The defaults drop
     no walk.
     """
-    walks = np.arange(u.shape[0])
+    walks = np.arange(coins.shape[0])
     total, min_p = np.zeros((2, walks.size)), np.ones((2, walks.size))
     # the slack keeps summation rounding from dropping a mean just above avg_threshold
     floor = avg_threshold * (n_steps - 1) - 1e-9
-    steps, keep = walk_batch(u, v, n_steps), None
+    steps, keep = walk_batch(coins, None, n_steps), None
     for a in range(1, n_steps + 1):
         _, amps = steps.send(keep)
         keep = None
@@ -188,11 +187,11 @@ def _averaged(u, v, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
 
 
 def _batch_of_one(coin: CoinOperator, shift: ShiftOperator, n_steps: int):
-    """The real coin of one walk as a (1, 2, 2) stack and v = None, once
-    n_steps >= 2 is checked."""
+    """The real coin of one walk as a (1, 2, 2) stack, once n_steps >= 2
+    is checked."""
     if n_steps < 2:
         raise ValueError(f"n_steps must be at least 2, got {n_steps}")
-    return _real_coins(**vars(coin), **vars(shift)), None
+    return _real_coins(**vars(coin), **vars(shift))
 
 
 def walk_entanglement_series(
@@ -207,7 +206,7 @@ def walk_entanglement_series(
     measurement on an independent copy stopped at that step, which is
     what evolving a fresh replica per step would produce.
     """
-    series = _metric_series(*_batch_of_one(coin, shift, n_steps), n_steps)
+    series = _metric_series(_batch_of_one(coin, shift, n_steps), n_steps)
     columns = (column[:, outcome.row, 0].tolist() for column in series)
     return [
         EntanglementRecord(n, outcome, *values)
@@ -227,6 +226,6 @@ def averaged_entanglement(
     state and would only dilute the average.  Steps where the outcome has
     zero probability contribute 0.
     """
-    mean = _averaged(*_batch_of_one(coin, shift, n_steps), n_steps)[1]
+    mean = _averaged(_batch_of_one(coin, shift, n_steps), n_steps)[1]
     value = float(mean[outcome.row, 0])
     return AveragedEntanglement(n_steps=n_steps, outcome=outcome, value=value)

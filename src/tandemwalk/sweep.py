@@ -137,7 +137,8 @@ class SweepSpec:
     as the operators would, checked and a beta_arg reduced mod 2 pi.  An
     alpha sweep always contains the exact balanced alpha when it lies
     inside [start, stop], because the averaged entanglement is
-    discontinuous there.
+    discontinuous there.  A spec holds at most 10^7 values, and a
+    per-step spec at most 2 x 10^7 rows (values x outcomes x n_steps).
     """
 
     coin_family: CoinFamily
@@ -170,6 +171,11 @@ class SweepSpec:
         minimum = 2 if self.mode is SweepMode.AVERAGED else 1
         if self.n_steps < minimum:
             raise ValueError(f"n_steps must be at least {minimum}, got {self.n_steps}")
+        if self.mode is SweepMode.PER_STEP:  # sweep_1d holds a row per value, outcome and step
+            values = int((self.stop - self.start) / self.step + 1e-9) + 1  # as _axis counts
+            rows = values * len(self.outcomes) * self.n_steps
+            if rows > 2 * 10**7:  # what the value bound allows an averaged sweep
+                raise ValueError(f"per-step sweep gives {rows:,} rows, more than 2 x 10^7")
         if unknown := self.fixed.keys() - PARAM_RANGES.keys():
             raise ValueError(f"unknown fixed parameter {min(unknown)!r}")
         fixed = {key: float(_checked(key, value)) for key, value in self.fixed.items()}
@@ -254,15 +260,15 @@ def _auto_chunk(n_steps: int) -> int:
 
 
 def _scan(axes, n_steps, reduce, *args, workers=1) -> Iterator:
-    """Yield `(start, reduce(params, u, v, n_steps, *args))` for each chunk
-    of the product of `axes`, in order; start is the flat index of the
-    chunk's first point.
+    """Yield `(start, reduce(params, coins, n_steps, *args))` for each
+    chunk of the product of `axes`, in order; start is the flat index of
+    the chunk's first point.
 
     An axis holds one parameter, (size,), or k that move together,
     (size, k); the product's rows are the five parameters in
     `PARAM_RANGES` order, the last axis running fastest.  params are the
-    chunk's five parameter columns, and u, v the `walk_batch` pair of
-    its (B, 2, 2) real coins (`core._real_coins`) and None.  Chunks hold
+    chunk's five parameter columns, and coins the (B, 2, 2) float64
+    stack of their real coins (`core._real_coins`).  Chunks hold
     `_auto_chunk` points.  workers > 1 spreads them over that many
     processes, capped at the chunk count, so one chunk starts none.
     """
@@ -287,12 +293,12 @@ def _scan_chunk(task):
     axes, start, stop, n_steps, reduce, args = task
     subs = np.unravel_index(np.arange(start, stop), [len(axis) for axis in axes])
     params = [row for axis, sub in zip(axes, subs) for row in axis[sub].T.reshape(-1, sub.size)]
-    return start, reduce(params, _real_coins(*params), None, n_steps, *args)
+    return start, reduce(params, _real_coins(*params), n_steps, *args)
 
 
-def _averaged_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
+def _averaged_rows(params, coins, n_steps, swept, outcomes) -> list[tuple]:
     """Sweep rows (value, outcome, mean normalized E), by walk then outcome."""
-    mean = _averaged(u, v, n_steps)[1]
+    mean = _averaged(coins, n_steps)[1]
     return [
         (value, outcome.value, float(mean[outcome.row, j]))
         for j, value in enumerate(params[swept].tolist())
@@ -300,10 +306,10 @@ def _averaged_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
     ]
 
 
-def _per_step_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
+def _per_step_rows(params, coins, n_steps, swept, outcomes) -> list[tuple]:
     """Sweep rows (value, outcome, step, P, N, E, normalized E), by walk,
     then outcome, then step."""
-    columns = _metric_series(u, v, n_steps)
+    columns = _metric_series(coins, n_steps)
     rows = []
     for j, value in enumerate(params[swept].tolist()):
         for outcome in outcomes:
@@ -314,14 +320,14 @@ def _per_step_rows(params, u, v, n_steps, swept, outcomes) -> list[tuple]:
     return rows
 
 
-def _isolated_hits(params, u, v, n_steps, p_threshold, maximal_atol):
+def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
     """Hit columns (walk, step, row, normalized E, P, N) of every
     (walk, step, spin) whose collapse is maximally entangled with
     probability above p_threshold, by walk, then step, then up before down.
     """
     empty = np.zeros(0, dtype=np.int64)
     found = [(empty, empty, empty, np.zeros(0), np.zeros(0), empty)]
-    for a, amps in walk_batch(u, v, n_steps):
+    for a, amps in walk_batch(coins, None, n_steps):
         if a < 2:  # one step leaves one term: never entangled
             continue
         metrics = collapse_metrics(amps)
@@ -340,13 +346,13 @@ def _isolated_hits(params, u, v, n_steps, p_threshold, maximal_atol):
     return [column[order] for column in columns]
 
 
-def _averaged_hits(params, u, v, n_steps, p_threshold, avg_threshold):
+def _averaged_hits(params, coins, n_steps, p_threshold, avg_threshold):
     """Hit columns, as `_isolated_hits` returns them, of every (walk, spin)
     whose mean normalized E exceeds avg_threshold with every P above
     p_threshold, by walk, then up before down; the hit carries the mean,
     the least P and the last step's N.
     """
-    walks, mean, min_p, last_n = _averaged(u, v, n_steps, p_threshold, avg_threshold)
+    walks, mean, min_p, last_n = _averaged(coins, n_steps, p_threshold, avg_threshold)
     hit = (mean > avg_threshold) & (min_p > p_threshold)
     cols, rows = np.nonzero(hit.T)
     return (

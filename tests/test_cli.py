@@ -303,6 +303,17 @@ class TestSweepBound:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "values" in err
 
+    def test_too_many_per_step_rows_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run(
+            capsys, "sweep", "--coin", "hadamard", "--sweep", "alpha", "--start", "0",
+            "--stop", "1", "--step", "1e-5", "--steps", "200", "--mode", "per-step",
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: per-step sweep gives ") and "rows" in err
+        assert not out_path.exists()
+
 
 class TestSearch:
     @pytest.mark.parametrize("grid", ["nan", "inf", "0", "-0.5"])
@@ -553,6 +564,22 @@ class TestVerify:
             worst = float(line.split("(worst ")[1].rstrip(")"))
             assert 0.0 <= worst < 1e-12
 
+    def test_special_points_check_the_real_walk(self, capsys, monkeypatch):
+        """The CSVs come from the real walk of r: a real coin nudged off the
+        chains by 1e-9 must fail the suite even though the complex walk holds."""
+        real = cli._real_coins
+
+        def nudged(*args, **kwargs):
+            coins = real(*args, **kwargs)
+            coins[:, 0, 1] += 1e-9
+            coins[:, 1, 0] -= 1e-9
+            return coins
+
+        monkeypatch.setattr(cli, "_real_coins", nudged)
+        code, out, err = run(capsys, "verify", "--suite", "special-points")
+        assert code == 1 and out.startswith("special-points: FAIL")
+        assert "real walk of r, chains: not exact at step 1" in err
+
 
 class TestConfigAndEnv:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
@@ -577,6 +604,12 @@ class TestConfigAndEnv:
         code, _, err = run(capsys, "evolve", "--config", str(cfg))
         assert code == 2
         assert "volume" in err
+
+    def test_verify_takes_no_config(self, capsys, tmp_path):
+        """verify has no --config, so argparse rejects it before any file is read."""
+        code, out, err = run(capsys, "verify", "--config", str(tmp_path / "missing.cfg"))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --config" in err and "No such file" not in err
 
     def test_env_var_feeds_worker_default(self, capsys, monkeypatch):
         monkeypatch.setenv("QRW_WORKERS", "1")

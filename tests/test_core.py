@@ -20,6 +20,7 @@ from tandemwalk import (
     z_coin,
 )
 from tandemwalk.core import (
+    CollapseMetrics,
     WalkState,
     _real_coins,
     coin_matrices,
@@ -310,6 +311,22 @@ class TestMeasurement:
                     total = np.sum(np.abs(result.amps) ** 2)
                     assert abs(total - 1.0) < 1e-12
 
+    def test_probability_and_term_count_are_those_of_collapse_metrics(self):
+        """One collapse rule: P and N of a complex walk's outcome are those of
+        `collapse_metrics` on its row, to the bit, chains and bounce included."""
+        rng = np.random.default_rng(67)
+        walks = [random_operators(rng) for _ in range(6)] + [
+            (hadamard_coin(), balanced_shift(0.0)),
+            (kempe_coin(), balanced_shift(3 * QUARTER)),
+            (kempe_coin(), balanced_shift(QUARTER)),
+        ]
+        for coin, shift in walks:
+            for state in iter_steps(coin, shift, 200):
+                for outcome, amps in ((Spin.UP, state.amps_up), (Spin.DOWN, state.amps_down)):
+                    result, metrics = measure_spin(state, outcome), collapse_metrics(amps)
+                    assert result.probability == metrics.probability
+                    assert result.term_count == metrics.term_count
+
 
 class TestLongWalks:
     def test_norm_drift_over_1000_steps(self):
@@ -365,6 +382,13 @@ class TestInvariantEdges:
             assert np.all(metrics.normalized[likelier, walks] == 0.0)
 
 
+def collapsed_series(u, v, n_steps):
+    """`collapse_metrics` of each step of the complex walks of u and v,
+    each field stacked into an (n_steps, 2, B) array like `_metric_series`."""
+    steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n_steps)]
+    return CollapseMetrics(*map(np.stack, zip(*steps)))
+
+
 def assert_same_series(got, expected, atol=1e-12):
     """N equal on every row and step, P, E and normalized E within atol."""
     assert np.array_equal(got.term_count, expected.term_count)
@@ -411,14 +435,14 @@ class TestRealWalk:
 
     def test_equal_r_gives_equal_series(self):
         """theta and eta enter r only through theta + eta: split one sum four
-        ways and walk the complex engine."""
+        ways, walk the complex engine and collapse each step."""
         rng = np.random.default_rng(43)
         rho, alpha, beta_arg = rng.uniform(0, 1, 5), rng.uniform(0, 1, 5), rng.uniform(0, 6, 5)
         total = rng.uniform(0, np.pi, 5)
         split = np.array([0.0, 0.3, 0.6, 1.0])[:, None] * total  # (4, 5)
         u = coin_matrices(np.tile(rho, 4), split.ravel(), (total - split).ravel())
         v = shift_matrices(np.tile(alpha, 4), np.tile(beta_arg, 4))
-        series = _metric_series(u, v, 200)
+        series = collapsed_series(u, v, 200)
         first = series._make(field[:, :, :5] for field in series)
         for j in range(5, 20, 5):
             assert_same_series(series._make(field[:, :, j : j + 5] for field in series), first)
@@ -431,13 +455,13 @@ class TestRealWalk:
         v = np.concatenate([v, shift_matrices(*params[3:, 6:])])
         real = _real_coins(*params)
         assert real.dtype == np.float64
-        assert_same_series(_metric_series(real, None, n), _metric_series(u, v, n))
+        assert_same_series(_metric_series(real, n), collapsed_series(u, v, n))
         for (_, full), (_, amps) in zip(walk_batch(u, v, n), walk_batch(real, None, n)):
             assert amps.dtype == np.float64
             assert_same_series(collapse_metrics(amps), collapse_metrics(full))
 
     def test_chains_and_bounce_stay_exact_to_step_800(self):
-        series = _metric_series(_real_coins(*self.special_params()), None, 800)
+        series = _metric_series(_real_coins(*self.special_params()), 800)
         assert np.all(series.probability[:, Spin.DOWN.row, :2] == 0.0)
         assert np.all(series.probability[:, Spin.UP.row, :2] == 1.0)
         assert np.all(series.entropy == 0.0) and np.all(series.normalized == 0.0)

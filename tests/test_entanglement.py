@@ -21,7 +21,7 @@ from tandemwalk import (
     z_coin,
 )
 import tandemwalk.entanglement as entanglement
-from tandemwalk.core import coin_matrices, collapse_metrics, shift_matrices, walk_batch
+from tandemwalk.core import _real_coins, collapse_metrics, walk_batch
 from tandemwalk.entanglement import _metric_series, _padded_blocks
 
 # -(0.8 log2 0.8 + 0.2 log2 0.2), evaluated directly from the formula
@@ -236,19 +236,18 @@ class TestAveraged:
 
 
 def _walks(count, seed):
-    """Coin and shift stacks of `count` seeded general walks, then the two
-    chains and the bounce, which collapse to exact zeros."""
+    """Real coin stack (`_real_coins`) of `count` seeded general walks, then
+    the two chains and the bounce, which collapse to exact zeros."""
     rng = np.random.default_rng(seed)
-    u = coin_matrices(rng.uniform(0, 1, count), *rng.uniform(0, np.pi, (2, count)))
-    v = shift_matrices(rng.uniform(0, 1, count), rng.uniform(0, 2 * np.pi, count))
+    rho, theta, eta = rng.uniform(0, 1, count), *rng.uniform(0, np.pi, (2, count))
+    alpha, beta_arg = rng.uniform(0, 1, count), rng.uniform(0, 2 * np.pi, count)
     special = [
         (hadamard_coin(), balanced_shift(0.0)),
         (kempe_coin(), balanced_shift(3 * np.pi / 2)),
         (kempe_coin(), balanced_shift(np.pi / 2)),
     ]
-    u = np.concatenate([u, [coin.matrix() for coin, _ in special]])
-    v = np.concatenate([v, [shift.matrix() for _, shift in special]])
-    return u, v
+    points = np.array([[*vars(coin).values(), *vars(shift).values()] for coin, shift in special])
+    return _real_coins(*np.c_[np.array([rho, theta, eta, alpha, beta_arg]), points.T])
 
 
 class TestBlockedSeries:
@@ -257,12 +256,12 @@ class TestBlockedSeries:
 
     @pytest.mark.parametrize("n", [2, 31, 32, 33, 200, 800])
     def test_matches_a_collapse_per_step(self, n):
-        u, v = _walks(4, seed=n)
-        series = _metric_series(u, v, n)
-        steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n)]
+        coins = _walks(4, seed=n)
+        series = _metric_series(coins, n)
+        steps = [collapse_metrics(amps) for _, amps in walk_batch(coins, None, n)]
         for blocked, field in zip(series, zip(*steps)):
             exact = np.stack(field)
-            assert blocked.shape == exact.shape == (n, 2, u.shape[0])
+            assert blocked.shape == exact.shape == (n, 2, coins.shape[0])
             if exact.dtype.kind == "i":  # N
                 assert np.array_equal(blocked, exact)
             else:
@@ -276,27 +275,27 @@ class TestBlockedSeries:
     @pytest.mark.parametrize("budget", [entanglement._BLOCK, 1])
     def test_batch_equals_each_walk_alone_to_the_bit(self, monkeypatch, budget):
         monkeypatch.setattr(entanglement, "_BLOCK", budget)
-        u, v = _walks(47, seed=7)
+        coins = _walks(47, seed=7)
         n = 200
-        batch = _metric_series(u, v, n)
-        for j in range(u.shape[0]):
-            alone = _metric_series(u[j : j + 1], v[j : j + 1], n)
+        batch = _metric_series(coins, n)
+        for j in range(coins.shape[0]):
+            alone = _metric_series(coins[j : j + 1], n)
             for field, own in zip(batch, alone):
                 assert np.array_equal(field[:, :, j : j + 1], own)
 
     def test_budget_changes_no_bit(self, monkeypatch):
-        u, v = _walks(2, seed=3)
+        coins = _walks(2, seed=3)
         n = 300
-        default = _metric_series(u, v, n)
+        default = _metric_series(coins, n)
         monkeypatch.setattr(entanglement, "_BLOCK", 1)
-        assert all(len(block) == 1 for block in _padded_blocks(u, v, n))
-        for field, single in zip(default, _metric_series(u, v, n)):
+        assert all(len(block) == 1 for block in _padded_blocks(coins, n))
+        for field, single in zip(default, _metric_series(coins, n)):
             assert np.array_equal(field, single)
 
     def test_blocks_are_padded_width_classes_within_the_budget(self):
-        u, v = _walks(1, seed=1)
+        coins = _walks(1, seed=1)
         n, first = 800, 1
-        for block in _padded_blocks(u, v, n):
+        for block in _padded_blocks(coins, n):
             size, _, b, width = block.shape
             last = first + size - 1
             assert width % entanglement._WIDTH == 0

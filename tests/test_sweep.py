@@ -140,6 +140,21 @@ class TestSweepSpec:
         assert peak < 1 << 20
         SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-7, 2)  # 10^7 values: allowed
 
+    def test_per_step_row_count_bounded_before_the_grid_is_built(self, monkeypatch):
+        """200 steps of both outcomes at step 1e-5 would hold 4 x 10^7 rows."""
+        monkeypatch.setattr(sweep, "_axis", lambda *args: pytest.fail("grid built"))
+        per_step = {"mode": SweepMode.PER_STEP}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="40,000,400 rows"):
+                SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-5, 200, **per_step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-4, 200, **per_step)  # 4 x 10^6 rows
+        SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-7, 200)  # averaged, 10^7 values
+
     def test_beta_arg_range_ends_at_stop_unless_it_reaches_two_pi(self):
         partial = SweepSpec(CoinFamily.HADAMARD, "beta_arg", 0.0, 3.0, 0.7, 4).values()
         assert np.array_equal(partial, [*(0.7 * np.arange(5)), 3.0])
@@ -481,23 +496,22 @@ class TestAveragedPruning:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        """Grid points, their keys, and the key walks' real coins (v None),
-        as the search walks them, and unpruned (mean, min P, last N), one
-        batch."""
+        """Grid points, their keys, and the key walks' real coins, as the
+        search walks them, and unpruned (mean, min P, last N), one batch."""
         axes = [grid_axis(name, self.GRID) for name in PARAM_RANGES]
         (rho, rest), key, n_keys = sweep._key_walks(axes)
         walks = [np.repeat(rho, len(rest)), *np.tile(rest, (rho.size, 1)).T]
-        u, v = _real_coins(*walks), None
-        index, mean, min_p, last_n = _averaged(u, v, self.STEPS)
+        coins = _real_coins(*walks)
+        index, mean, min_p, last_n = _averaged(coins, self.STEPS)
         assert index.tolist() == list(range(n_keys))
         shape = [axis.size for axis in axes]
         subs = np.unravel_index(np.arange(np.prod(shape)), shape)
         points = [axis[sub] for axis, sub in zip(axes, subs)]
-        return points, key(subs), u, v, mean, min_p, last_n
+        return points, key(subs), coins, mean, min_p, last_n
 
     def _expected(self, reference, p_threshold, avg_threshold):
         """The hit rule applied to every grid point's key walk, in grid order."""
-        points, keys, _, _, mean, min_p, last_n = reference
+        points, keys, _, mean, min_p, last_n = reference
         mean, min_p, last_n = mean[:, keys], min_p[:, keys], last_n[:, keys]
         hit = (mean > avg_threshold) & (min_p > p_threshold)
         return [
@@ -535,14 +549,14 @@ class TestAveragedPruning:
                     assert hits == expected, (p_threshold, avg_threshold, chunk_size, workers)
 
     def test_walks_leave_the_batch(self, reference):
-        _, _, u, v, full, full_min_p, _ = reference
-        walks, mean, _, _ = _averaged(u, v, self.STEPS, 0.15, 0.999)
+        _, _, coins, full, full_min_p, _ = reference
+        walks, mean, _, _ = _averaged(coins, self.STEPS, 0.15, 0.999)
         assert walks.size == 0 and mean.shape == (2, 0)  # no walk averages 0.999
-        walks, mean, min_p, _ = _averaged(u, v, self.STEPS, 0.15, 0.75)
-        assert 0 < walks.size < u.shape[0] // 2
+        walks, mean, min_p, _ = _averaged(coins, self.STEPS, 0.15, 0.75)
+        assert 0 < walks.size < coins.shape[0] // 2
         assert np.all(np.diff(walks) > 0)
         # no walk dropped had a row able to pass the hit rule
-        dropped = np.setdiff1d(np.arange(u.shape[0]), walks)
+        dropped = np.setdiff1d(np.arange(coins.shape[0]), walks)
         assert not np.any((full[:, dropped] > 0.75) & (full_min_p[:, dropped] > 0.15))
         assert np.array_equal(full[:, walks], mean)
         assert np.array_equal(full_min_p[:, walks], min_p)
