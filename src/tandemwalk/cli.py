@@ -352,7 +352,8 @@ def cmd_sweep(args) -> int:
 
 def _search_blocks(axes, pieces):
     """One block per search piece.  Each axis value, and each key hit a
-    piece uses, is formatted once as the `str` of the value a
+    piece uses (marked in a mask over the key hits, so nothing is
+    sorted), is formatted once as the `str` of the value a
     `MaxEntanglementHit` holds.  Consecutive rows of one beta_arg row of
     the grid share one `rho,theta,eta,alpha,` prefix, made once per such
     group, and one join of prefix, beta_arg and key-hit texts makes the
@@ -362,7 +363,10 @@ def _search_blocks(axes, pieces):
     )
     shape = [label.size for label in heads]
     for points, hits, columns in pieces:
-        used, inverse = np.unique(hits, return_inverse=True)
+        used = np.zeros(columns[0].size, dtype=bool)
+        used[hits] = True
+        inverse = (np.cumsum(used) - 1)[hits]
+        used = np.flatnonzero(used)
         step, rows, *metrics = (column[used].tolist() for column in columns)
         spins = [_SPINS[r] for r in rows]
         tails = [",".join(map(str, hit)) + "\n" for hit in zip(step, spins, *metrics)]

@@ -4,7 +4,7 @@ and per-coin catalogs of maximal-entanglement events.
 All three are one scan, `_scan`, over the product of parameter axes,
 plus a reducer.  A sweep is four one-value axes and the swept one, a
 catalog is the named coin's three values and its alpha and beta_arg
-grids.  A grid search scans one walk per key of its five `grid_axis`
+grids.  A grid search scans one entry per key of its five `grid_axis`
 arrays: points with equal keys have equal metrics (`_key_walks`), and
 `_fan_out` hands each key's hits to its points in grid order, as flat
 point indices, a piece at a time; it keys the grid a block of whole
@@ -16,10 +16,13 @@ chunks of consecutive points, sized so memory stays bounded, and builds
 each chunk's real coins of r (`core.invariant`): every metric depends on
 r alone.  The reducer evolves the chunk through the one walk engine in
 `core` (`walk_batch` in float64, with `collapse_metrics`) into rows or
-hits.  Sweep rows index the per-step series and the average of
-`entanglement` (`_metric_series`, `_averaged`), the same code the
-single-walk functions run; the averaged grid search runs that average
-too and drops, between steps, the walks that can no longer become hits.
+hits; the two hit reducers run one walk per distinct real coin of a
+chunk (`_distinct_coins`) and give its hits to each entry with that
+coin (`_to_walks`).  Sweep rows index the per-step series and the
+average of `entanglement` (`_metric_series`, `_averaged`), the same
+code the single-walk functions run; the averaged grid search runs that
+average too and drops, between steps, the walks that can no longer
+become hits.
 Grid-search chunks can also go to worker processes; chunk boundaries
 depend only on the grid, never on the worker count, so output order and
 content are identical for any parallelism.
@@ -320,11 +323,43 @@ def _per_step_rows(params, coins, n_steps, swept, outcomes) -> list[tuple]:
     return rows
 
 
+def _distinct_coins(coins):
+    """(distinct, inverse): the distinct real coins of a (B, 2, 2) stack,
+    by the bits of their (a, b) row, and the index into distinct of each
+    walk's coin.  Walks of equal coins have equal metrics, so the hit
+    reducers walk distinct alone."""
+    rows = coins[:, 0].copy().view(np.complex128)[:, 0]  # (a, b) as a + ib; a, b >= 0
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return coins[first], inverse
+
+
+def _runs(keys, counts, first):
+    """(owners, hits): each entry of keys, in order, takes the counts[key]
+    consecutive hits from first[key] on; owners are the entries'
+    positions in keys, hits the indices of their hits."""
+    n = counts[keys]
+    owners = np.repeat(np.arange(keys.size), n)
+    return owners, np.arange(owners.size) + np.repeat(first[keys] - (np.cumsum(n) - n), n)
+
+
+def _to_walks(columns, inverse):
+    """Hit columns (coin, step, row, normalized E, P, N) of the distinct
+    coins of `_distinct_coins`, by coin, then step, then up before down,
+    as the same columns of the chunk's walks, by walk, then step, then
+    up before down: each walk takes every hit of its coin."""
+    coin, *rest = columns
+    counts = np.bincount(coin, minlength=inverse.size)
+    walks, hits = _runs(inverse, counts, np.cumsum(counts) - counts)
+    return [walks, *(column[hits] for column in rest)]
+
+
 def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
     """Hit columns (walk, step, row, normalized E, P, N) of every
     (walk, step, spin) whose collapse is maximally entangled with
-    probability above p_threshold, by walk, then step, then up before down.
+    probability above p_threshold, by walk, then step, then up before
+    down.  Each distinct coin walks once (`_distinct_coins`).
     """
+    coins, inverse = _distinct_coins(coins)
     empty = np.zeros(0, dtype=np.int64)
     found = [(empty, empty, empty, np.zeros(0), np.zeros(0), empty)]
     for a, amps in walk_batch(coins, None, n_steps):
@@ -343,22 +378,24 @@ def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
         ))
     columns = [np.concatenate(column) for column in zip(*found)]
     order = np.lexsort(columns[2::-1])
-    return [column[order] for column in columns]
+    return _to_walks([column[order] for column in columns], inverse)
 
 
 def _averaged_hits(params, coins, n_steps, p_threshold, avg_threshold):
     """Hit columns, as `_isolated_hits` returns them, of every (walk, spin)
     whose mean normalized E exceeds avg_threshold with every P above
     p_threshold, by walk, then up before down; the hit carries the mean,
-    the least P and the last step's N.
+    the least P and the last step's N.  Each distinct coin walks once
+    (`_distinct_coins`).
     """
+    coins, inverse = _distinct_coins(coins)
     walks, mean, min_p, last_n = _averaged(coins, n_steps, p_threshold, avg_threshold)
     hit = (mean > avg_threshold) & (min_p > p_threshold)
     cols, rows = np.nonzero(hit.T)
-    return (
+    return _to_walks((
         walks[cols], np.full(cols.size, n_steps), rows,
         mean[rows, cols], min_p[rows, cols], last_n[rows, cols],
-    )
+    ), inverse)
 
 
 def _fan_out(axes, key, n_keys, scan) -> Iterator:
@@ -366,8 +403,9 @@ def _fan_out(axes, key, n_keys, scan) -> Iterator:
     entry per point and hit of its key, in grid order.  points are the
     entries' flat indices into the grid, hits index the key-hit columns
     (step, spin row, normalized E, P, N), the whole arrays of which go
-    out with every piece.  scan is `_scan` over one walk per key with
-    `_isolated_hits` or `_averaged_hits`, and key maps index arrays into
+    out with every piece.  scan is `_scan` over one entry per key with
+    `_isolated_hits` or `_averaged_hits`, which run one walk per
+    distinct real coin of a chunk, and key maps index arrays into
     the axes to keys; a chunk's come as one (m, 1) column per leading
     axis and a (1, n_beta) row of beta_arg indices, which it broadcasts.
     Points go in chunks of whole beta_arg rows, at most
@@ -389,11 +427,8 @@ def _fan_out(axes, key, n_keys, scan) -> Iterator:
         cuts = [0, *(np.flatnonzero(np.diff(ends // _PIECE)) + 1).tolist(), ends.size]
         start = row * n_beta
         for lo, hi in zip(cuts, cuts[1:]):
-            piece_keys = point_keys[lo:hi]
-            n = counts[piece_keys]
-            points = np.repeat(np.arange(start + lo, start + hi), n)
-            hits = np.arange(points.size) + np.repeat(first[piece_keys] - (np.cumsum(n) - n), n)
-            yield points, hits, columns
+            points, hits = _runs(point_keys[lo:hi], counts, first)
+            yield start + lo + points, hits, columns
 
 
 def _hits(axes, pieces) -> Iterator[MaxEntanglementHit]:
@@ -408,7 +443,7 @@ def _hits(axes, pieces) -> Iterator[MaxEntanglementHit]:
 
 
 def _key_walks(axes):
-    """([rho, rest], key, n_keys): `_scan` axes of one walk per key of the
+    """([rho, rest], key, n_keys): `_scan` axes of one entry per key of the
     grid `axes`, at the key's first point, and the map of index arrays
     into `axes`, flat or broadcasting, to keys.  The key (rho index,
     (|m|, c mod 2), alpha index) fixes r = |W00| and so every metric, where
@@ -453,15 +488,16 @@ def grid_search(
     walk's arithmetic does not depend on which others share its batch,
     so the hits are the same, to the bit, as those of a full run.
 
-    One walk runs per key (see `_key_walks`) and its hits go to each of
-    the key's points; floats can differ from a walk at the point in the
-    last digit.  Hits stream in grid order (then step, then up before
-    down).  The scan is chunked, so memory stays bounded for any grid
-    size; chunks and workers count key walks: workers > 1 spreads
-    chunks over up to that many processes (no more than there are
-    chunks; a single chunk starts no process).  maximal_atol must lie in
-    (0, 1).  Arguments are checked on the call, before the first hit is
-    asked for.
+    The scan holds one entry per key (see `_key_walks`), runs one walk
+    per distinct real coin of a chunk of keys, and gives each walk's
+    hits to every point of the keys with that coin; floats can differ
+    from a walk at the point in the last digit.  Hits stream in grid
+    order (then step, then up before down).  The scan is chunked, so
+    memory stays bounded for any grid size; chunks and workers count
+    keys: workers > 1 spreads chunks over up to that many processes (no
+    more than there are chunks; a single chunk starts no process).
+    maximal_atol must lie in (0, 1).  Arguments are checked on the call,
+    before the first hit is asked for.
     """
     return _hits(*_search(
         CoinFamily.GENERAL, mode, n_steps, p_threshold, maximal_atol,
@@ -485,8 +521,10 @@ def find_max_cases(
     and records every step whose normalized entanglement is maximal with
     probability above p_threshold.  The values are checked as
     `ShiftOperator` checks them, and hits carry each beta_arg reduced
-    mod 2 pi.  Hits are ordered by alpha, then beta_arg, then step, then
-    up before down.  Use `grid_search` to scan the general coin.
+    mod 2 pi.  Each point is cataloged once: repeated values, and
+    beta_arg values equal after that reduction, are one value.  Hits are
+    ordered by alpha, then beta_arg, then step, then up before down.
+    Use `grid_search` to scan the general coin.
     """
     if coin_family is CoinFamily.GENERAL:
         raise ValueError("find_max_cases catalogs a named coin; use grid_search")
@@ -511,10 +549,11 @@ def _search(
 ):
     """(axes, pieces) of a search: its five axes and `_fan_out`'s pieces.
 
-    The general coin scans the grid of step grid_step, one walk per key
+    The general coin scans the grid of step grid_step, one entry per key
     (`grid_search`); a named coin catalogs its alpha and beta_arg values,
-    every point its own key (`find_max_cases`).  Arguments are checked on
-    the call; the walks run when the first piece is asked for.
+    every point its own key (`find_max_cases`).  Either way a chunk runs
+    one walk per distinct real coin.  Arguments are checked on the call;
+    the walks run when the first piece is asked for.
     """
     if coin_family is not CoinFamily.GENERAL and mode is not SearchMode.ISOLATED_MAX:
         raise ValueError("averaged search scans the general coin only")
@@ -552,8 +591,8 @@ def _search(
         quarter = float(np.pi / 2)
         extra = [quarter, 2 * quarter, 3 * quarter]
         beta_arg_values = np.union1d(grid_axis("beta_arg", 0.1), extra)
-    alpha = np.sort(_checked("alpha", alpha_values))
-    beta_arg = np.sort(_checked("beta_arg", beta_arg_values))
+    alpha = np.unique(_checked("alpha", alpha_values))
+    beta_arg = np.unique(_checked("beta_arg", beta_arg_values))
     axes = [np.array([x]) for x in (coin.rho, coin.theta, coin.eta)] + [alpha, beta_arg]
     scan = _scan(axes, n_steps, _isolated_hits, p_threshold, maximal_atol)
     shape = [axis.size for axis in axes]  # every point is its own key

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tandemwalk.entanglement as entanglement
 import tandemwalk.sweep as sweep
 from tandemwalk import (
     BALANCED_ALPHA,
@@ -301,6 +302,70 @@ class TestFanOutChunks:
             assert np.array_equal(keys, key(np.unravel_index(points, shape)))
             start += points.size
         assert start == np.prod(shape)
+
+
+class TestDistinctCoins:
+    """The hit reducers walk each distinct real coin of a chunk once and
+    hand its hits to every walk of the chunk with those coin bits."""
+
+    SEARCHES = {
+        "averaged": lambda: list(grid_search(0.92, 200, SearchMode.AVERAGED_HIGH, avg_threshold=0.75)),
+        "isolated": lambda: list(grid_search(0.3, 10, SearchMode.ISOLATED_MAX)),
+        "z-catalog": lambda: find_max_cases(CoinFamily.Z, n_max=12, p_threshold=0.15),
+    }
+
+    @staticmethod
+    def walk_every_coin(monkeypatch):
+        monkeypatch.setattr(sweep, "_distinct_coins", lambda coins: (coins, np.arange(len(coins))))
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("search", list(SEARCHES))
+    def test_hits_equal_a_walk_per_coin(self, monkeypatch, search, chunk):
+        if chunk is not None:  # some chunks of 7 hold no equal coins, some do
+            monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: chunk)
+        distinct = self.SEARCHES[search]()
+        assert len(distinct) > 100
+        self.walk_every_coin(monkeypatch)
+        assert self.SEARCHES[search]() == distinct
+
+    @pytest.mark.parametrize("search", list(SEARCHES))
+    def test_walk_batch_walks_the_distinct_coins(self, monkeypatch, search):
+        chunks, batches = [], []
+        for module in (sweep, entanglement):
+            def spy(coins, v, n_steps, walk=module.walk_batch):
+                batches.append(coins.shape[0])
+                return walk(coins, v, n_steps)
+
+            monkeypatch.setattr(module, "walk_batch", spy)
+        for name in ("_isolated_hits", "_averaged_hits"):
+            def reduce(params, coins, *args, hits=getattr(sweep, name)):
+                chunks.append(coins)
+                return hits(params, coins, *args)
+
+            monkeypatch.setattr(sweep, name, reduce)
+        self.SEARCHES[search]()
+        (coins,) = chunks  # each search is one chunk
+        expected = {"averaged": 126, "isolated": 1050, "z-catalog": 792}[search]
+        assert coins.shape[0] == expected  # keys, or catalog points
+        distinct = len(np.unique(coins[:, 0], axis=0))
+        assert batches == [distinct]
+        assert distinct < coins.shape[0]
+
+    def test_distinct_coins_and_inverse(self):
+        a = np.array([0.8, 0.6, 0.8, 1.0, 0.6, 0.8])
+        b = np.sqrt(1 - a**2)
+        coins = np.stack([a, b, -b, a], axis=-1).reshape(-1, 2, 2)
+        distinct, inverse = sweep._distinct_coins(coins)
+        assert sorted(distinct[:, 0, 0].tolist()) == [0.6, 0.8, 1.0]
+        assert np.array_equal(distinct[inverse], coins)
+
+    def test_to_walks_gives_each_walk_its_coins_hits(self):
+        # coin 0 has two hits, coin 1 none, coin 2 one; walks hold coins 2, 0, 2, 1
+        columns = [np.array([0, 0, 2]), np.array([3, 5, 4]), np.array([1, 0, 0])]
+        walks, steps, rows = sweep._to_walks(columns, np.array([2, 0, 2, 1]))
+        assert walks.tolist() == [0, 1, 1, 2]
+        assert steps.tolist() == [4, 3, 5, 4]
+        assert rows.tolist() == [0, 1, 0, 0]
 
 
 class TestBatchEngine:
@@ -812,6 +877,16 @@ class TestFindMaxCases:
             beta_arg_values=[np.pi / 2],
         )
         assert {h.step for h in hits} <= {2, 3, 4}
+
+    def test_each_point_cataloged_once(self):
+        # 2 pi reduces to 0.0, so the distinct points are [0.3] x [0.0, 1.0]
+        hits = find_max_cases(
+            CoinFamily.KEMPE, 6, 0.15, alpha_values=[0.3, 0.3], beta_arg_values=[0.0, 2 * np.pi, 1.0]
+        )
+        assert len(hits) == 5
+        assert hits == find_max_cases(
+            CoinFamily.KEMPE, 6, 0.15, alpha_values=[0.3], beta_arg_values=[0.0, 1.0]
+        )
 
     @pytest.mark.parametrize(
         "kwargs, message",
