@@ -13,10 +13,10 @@ run of rows of one beta_arg row of the grid, its beta_arg and its key hit.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
-from itertools import chain
 
 import numpy as np
 
@@ -230,21 +230,17 @@ def cmd_evolve(args) -> int:
     coin, shift = _build_operators(args)
     outcomes = _parse_outcomes(args.outcome)  # down before up, the row order
     series = _metric_series(_real_coins(**vars(coin), **vars(shift)), args.steps)
-    texts = [  # each row's fields as `_lines` writes them
-        [
-            f"{n},{outcome.value},{p},{k},{e},{x}\n"
-            for n, p, k, e, x in zip(
-                range(1, args.steps + 1),
-                *(column[:, outcome.row, 0].tolist() for column in series),
-            )
+    rows = [""] * (args.steps * len(outcomes))  # by step, then outcome
+    for i, outcome in enumerate(outcomes):  # each row's fields as `_lines` writes them
+        spin, columns = outcome.value, (column[:, outcome.row, 0].tolist() for column in series)
+        rows[i :: len(outcomes)] = [
+            f"{n},{spin},{p},{k},{e},{x}\n"
+            for n, p, k, e, x in zip(range(1, args.steps + 1), *columns)
         ]
-        for outcome in outcomes
-    ]
     meta = {"command": "evolve", **_operator_meta(args.coin, {**vars(coin), **vars(shift)})}
     meta.update(steps=args.steps, outcome=args.outcome, term_threshold=TERM_THRESHOLD)
     header = ["step", "outcome", "P", "N", "E_bits", "normalized_E"]
-    text = "".join(chain.from_iterable(zip(*texts)))
-    _write_csv(args.out, meta, header, [(text, args.steps * len(outcomes))])
+    _write_csv(args.out, meta, header, [("".join(rows), len(rows))])
     return 0
 
 
@@ -375,9 +371,11 @@ def _search_blocks(axes, pieces):
         subs = np.unravel_index(grid_rows[starts], shape)
         rho, theta, eta, alpha = (label[sub] for label, sub in zip(heads, subs))
         prefixes = np.repeat(rho + theta + eta + alpha, np.diff(starts, append=points.size))
-        tails = np.array(tails, dtype=object)[inverse]
-        fields = prefixes.tolist(), betas[beta].tolist(), tails.tolist()
-        yield "".join(chain.from_iterable(zip(*fields))), hits.size
+        flat = [""] * (3 * hits.size)
+        flat[0::3] = prefixes.tolist()
+        flat[1::3] = betas[beta].tolist()
+        flat[2::3] = np.array(tails, dtype=object)[inverse].tolist()
+        yield "".join(flat), hits.size
 
 
 def cmd_search(args) -> int:
@@ -567,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operator_args(p_evolve)
     p_evolve.add_argument("--steps", type=_positive_int, default=200)
     p_evolve.add_argument("--outcome", choices=["up", "down", "both"], default="both")
-    p_evolve.set_defaults(func=cmd_evolve)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter, emit a table")
     _add_common(p_sweep)
@@ -582,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--mode", choices=[m.value for m in SweepMode], default="averaged"
     )
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_search = sub.add_parser("search", help="scan parameter space for maximal entanglement")
     _add_common(p_search)
@@ -605,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--workers", type=_positive_int, help="process count (QRW_WORKERS, then cores)"
     )
-    p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", help="run the correctness suites")
     p_verify.add_argument(
@@ -614,13 +609,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p_verify.add_argument("--samples", type=_positive_int, default=300)
-    p_verify.set_defaults(func=cmd_verify)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser`'s parser, built on a process's first `main` call and
+    reused by every later one."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     if argv and argv[0] in {"evolve", "sweep", "search"}:  # the commands with --config
         try:
             argv = [argv[0], *_merge_config(argv[1:])]
@@ -628,11 +628,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the offending flag
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # by name when called: the cached parser holds no command function
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, ValueError) as exc:  # bad input, or an --out the system refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2

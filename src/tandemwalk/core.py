@@ -14,8 +14,12 @@ amplitudes carry the walker-walker entanglement.
 
 After n steps the pair can only sit at sites 2k - n, where k counts the
 up moves, so amplitudes are stored by k in n + 1 slots.  One engine,
-`walk_batch`, evolves a batch of walks in that layout; `step`,
-`iter_steps` and `evolve` run it as a batch of one on complex U and V.
+`walk_batch`, evolves a batch of walks in that layout; `iter_steps` and
+`evolve` run it as a batch of one on complex U and V.  Every step, there,
+in `step` and in `_padded_walk`, which writes the per-step series of
+`entanglement` straight into zero-padded blocks, is one routine,
+`_advance`, which works through preallocated scratch, so a step
+allocates and copies nothing.
 Every metric depends only on r = |W00| of W = V U (`invariant`), so the
 metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
 (|W00|, |W01|) instead, one float64 mix per step: the metric helpers of
@@ -26,6 +30,7 @@ a batch alike; `measure_spin` takes its P and N from it too.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from dataclasses import dataclass
 from enum import Enum
 from typing import Generator, Iterator, NamedTuple
@@ -70,6 +75,9 @@ UNITARITY_ATOL = 1e-12
 BALANCED_ALPHA = float(np.sqrt(0.5))
 
 _QUARTER_TURN = float(np.pi / 2)
+
+#: the least positive float64, a subnormal
+_TINY = 5e-324
 
 #: (low, high, closed) domain of each coin and shift parameter, in the
 #: order of a search's axes; beta_arg is a phase and excludes 2 pi
@@ -123,6 +131,15 @@ def coin_matrices(rho, theta, eta) -> np.ndarray:
     return m
 
 
+def _beta(alpha, beta_arg):
+    """beta = |beta| e^{i beta_arg} of float64 alpha, as `shift_matrices`
+    describes it."""
+    mod = np.where(
+        alpha == BALANCED_ALPHA, BALANCED_ALPHA, np.sqrt((1.0 - alpha) * (1.0 + alpha))
+    )
+    return mod * phase_factor(beta_arg)
+
+
 def shift_matrices(alpha, beta_arg) -> np.ndarray:
     """Shift mixing matrices [[alpha, beta], [-conj(beta), alpha]], shape (..., 2, 2).
 
@@ -132,10 +149,7 @@ def shift_matrices(alpha, beta_arg) -> np.ndarray:
     moduli are what keep the degenerate walks there exactly degenerate.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    mod = np.where(
-        alpha == BALANCED_ALPHA, BALANCED_ALPHA, np.sqrt((1.0 - alpha) * (1.0 + alpha))
-    )
-    beta = mod * phase_factor(beta_arg)
+    beta = _beta(alpha, beta_arg)
     m = np.empty(np.broadcast(alpha, beta).shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = alpha
     m[..., 0, 1] = beta
@@ -296,8 +310,8 @@ class ShiftOperator:
 
     @property
     def beta(self) -> complex:
-        """Complex beta coefficient."""
-        return complex(self.matrix()[0, 1])
+        """Complex beta coefficient, the entry V[0, 1] of `matrix`."""
+        return complex(_beta(self.alpha, self.beta_arg))
 
 
 def balanced_shift(beta_arg: float = 0.0) -> ShiftOperator:
@@ -387,36 +401,65 @@ def initial_state() -> WalkState:
     return WalkState(0, np.ones(1, np.complex128), np.zeros(1, np.complex128))
 
 
-def _entries(m: np.ndarray):
-    """Entries of a (B, 2, 2) stack as a nested pair of (B, 1) columns."""
-    return tuple(tuple(m[:, i, j, None] for j in range(2)) for i in range(2))
+def _start(b: int, dtype) -> np.ndarray:
+    """(2, b, 1) amplitudes of b walks at |up> (x) |0,0>, step 0."""
+    amps = np.zeros((2, b, 1), dtype)
+    amps[0, :, 0] = 1.0
+    return amps
 
 
-def _advance(amps: np.ndarray, n: int, u, v=None):
-    """Advance every walk in `amps` (2, B, >= n + 2) from step n to n + 1 in place.
+def _written(amps: np.ndarray) -> np.ndarray:
+    """The slots a step writes in (..., 2, B, width) amplitudes, as one
+    (..., 2, B, width - 1) view: up slots 1.. (an up output's last move
+    was up, so k >= 1), then down slots 0.. (a down output's was not)."""
+    *lead, _, b, width = amps.shape
+    *outer, row, walk, slot = amps.strides
+    return as_strided(
+        amps[..., 0, :, 1:], (*lead, 2, b, width - 1), (*outer, row - slot, walk, slot)
+    )
 
-    Slots k > n must hold zeros.  The coin and the shift mix are applied
-    as two separate 2x2 mixes: multiplying them into one matrix first
-    would leak rounding into the dead branch of the degenerate walks.
-    With v None, u is the whole mix.
+
+def _mixes(m: np.ndarray) -> np.ndarray:
+    """A (B, 2, 2) stack of 2x2 mixes as the (2, 2, B, 1) array, output
+    row, input row, walk, that `_advance` multiplies amplitudes by."""
+    return m.transpose(1, 2, 0)[..., None]
+
+
+def _scratch(n_mixes: int, b: int, width: int, dtype) -> list[np.ndarray]:
+    """Flat buffers for the intermediates of `_advance` on b walks of up
+    to width slots: the four products of a mix, and with two mixes the
+    amplitudes between them."""
+    between = [np.empty(2 * b * width, dtype) for _ in range(n_mixes - 1)]
+    return [np.empty(4 * b * width, dtype), *between]
+
+
+def _advance(src: np.ndarray, dst: np.ndarray, n: int, mixes, scratch) -> None:
+    """Write step n + 1 of every walk from its step n in src, the one
+    stepping routine.
+
+    src is (2, B, >= n + 1) amplitudes and dst the `_written` view of
+    amplitudes with at least n + 2 slots, every slot of which the step
+    does not write already zero; dst may view src's own array, as every
+    product is formed before any slot is written.  mixes are `_mixes`
+    arrays, applied in turn: with a coin and a shift mix, as two separate
+    2x2 mixes, since multiplying them into one matrix first would leak
+    rounding into the dead branch of the degenerate walks.  A mix m takes
+    the rows (up, down) to (m00 up + m01 down, m10 up + m11 down): one
+    call forms the four products, another adds them pairwise.  The
+    intermediates are contiguous views of the `_scratch` buffers, so a
+    step allocates nothing.
     """
-    up, down = amps[0, :, : n + 1], amps[1, :, : n + 1]
-    bu = u[0][0] * up
-    bu += u[0][1] * down
-    new_up, new_down = amps[0, :, 1 : n + 2], amps[1, :, : n + 1]
-    if v is None:  # new_down is down, whose last use is here
-        down *= u[1][1]
-        down += u[1][0] * up
-        new_up[...] = bu
-    else:
-        bd = u[1][0] * up
-        bd += u[1][1] * down
-        np.multiply(v[0][0], bu, out=new_up)
-        new_up += v[0][1] * bd
-        np.multiply(v[1][0], bu, out=new_down)
-        new_down += v[1][1] * bd
-    if n == 0:  # an up output always has made at least one up move
-        amps[0, :, 0] = 0.0
+    products, *between = scratch
+    amps = src[:, :, : n + 1]
+    products = products[: 2 * amps.size].reshape(2, *amps.shape)
+    outs = [x[: amps.size].reshape(amps.shape) for x in between] + [dst[..., : n + 1]]
+    for m, out in zip(mixes, outs):
+        np.multiply(m, amps, out=products)
+        amps = np.add(products[:, 0], products[:, 1], out=out)
+
+
+#: slots per walk of `walk_batch`'s first buffer, which grows as the front moves
+_FIRST_SLOTS = 32
 
 
 def walk_batch(
@@ -431,6 +474,11 @@ def walk_batch(
     walk, then k = number of up moves.  The view is overwritten by the
     next step; copy what you keep.
 
+    `_advance` writes each step over the last, in one buffer of
+    `_FIRST_SLOTS` slots per walk at first.  When the front reaches its
+    end, the next step goes into a buffer twice as wide, so the pages of
+    later steps are touched only by walks that reach them.
+
     A consumer can drop walks between steps: `send` a (B,) boolean mask
     of the walks to keep instead of calling `next`, and the later steps
     evolve only those, in their order, so B shrinks to the mask's count.
@@ -440,28 +488,58 @@ def walk_batch(
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    mixes = [u] if v is None else [u, v]
-    amps = np.zeros((2, u.shape[0], n_steps + 1), dtype=np.result_type(u, v))
-    amps[0, :, 0] = 1.0
-    entries = [_entries(m) for m in mixes]
+    stacks = [u] if v is None else [u, v]
+    mixes, dtype = [_mixes(m) for m in stacks], np.result_type(u, v)
+    amps = _start(u.shape[0], dtype)
     for n in range(n_steps):
-        _advance(amps, n, *entries)
+        src = amps
+        if amps.shape[-1] < n + 2:  # step 1, or the front reached the end of the buffer
+            width = min(max(_FIRST_SLOTS, 2 * amps.shape[-1]), n_steps + 1)
+            amps = np.zeros(amps.shape[:2] + (width,), dtype)
+            written, scratch = _written(amps), _scratch(len(mixes), amps.shape[1], width, dtype)
+        _advance(src, written, n, mixes, scratch)
         keep = yield n + 1, amps[:, :, : n + 2]
         if keep is not None:
-            mixes = [m[keep] for m in mixes]
-            entries = [_entries(m) for m in mixes]
-            kept = mixes[0].shape[0]  # those walks move to the front, in place
+            stacks = [m[keep] for m in stacks]
+            mixes = [_mixes(m) for m in stacks]
+            kept = stacks[0].shape[0]  # those walks move to the front, in place
             amps[:, :kept, : n + 2] = amps[:, keep, : n + 2]  # slots past n + 1 stay zero
-            amps = amps[:, :kept]
+            amps, written = amps[:, :kept], written[:, :kept]
+
+
+def _padded_walk(coins: np.ndarray, n_steps: int, width: int, budget: int):
+    """Yield the amplitudes after steps 1..n_steps of the walks of the
+    (B, 2, 2) real coin stack `coins`, in order and in its dtype, as
+    zero-padded (steps, 2, B, w) blocks of consecutive steps whose n + 1
+    slots round up to the same multiple w of width, each at most budget
+    amplitudes or one step.  `_advance` writes each step straight into
+    the next row of its block, from the row before (a one-step block's
+    row from itself), so a block is overwritten by the next; collapse it
+    before asking for that."""
+    amps, b = _start(coins.shape[0], coins.dtype), coins.shape[0]
+    mixes = [_mixes(coins)]
+    for w in range(width, n_steps + width + 1, width):
+        # the steps n of this width: w - width < n + 1 <= w
+        first, last = max(1, w - width), min(w - 1, n_steps)
+        size = max(1, min(last - first + 1, budget // (2 * b * w)))
+        # zeroed once: a later step in a row overwrites every slot an earlier one wrote
+        block = np.zeros((size, 2, b, w), coins.dtype)
+        written, scratch = _written(block), _scratch(1, b, w, coins.dtype)
+        for start in range(first, last + 1, size):
+            for row, n in enumerate(range(start, min(start + size, last + 1))):
+                _advance(amps, written[row], n - 1, mixes, scratch)
+                amps = block[row]
+            yield block[: row + 1]
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """Advance the walk by one coin + shift application."""
     n = state.step
-    amps = np.zeros((2, 1, n + 2), dtype=np.complex128)
-    amps[:, 0, : n + 1] = state.amps_up, state.amps_down
-    _advance(amps, n, _entries(coin.matrix()[None]), _entries(shift.matrix()[None]))
-    return WalkState(step=n + 1, amps_up=amps[0, 0], amps_down=amps[1, 0])
+    src = np.stack([state.amps_up, state.amps_down])[:, None]
+    dst = np.zeros((2, 1, n + 2), dtype=np.complex128)
+    mixes = [_mixes(coin.matrix()[None]), _mixes(shift.matrix()[None])]
+    _advance(src, _written(dst), n, mixes, _scratch(2, 1, n + 1, np.complex128))
+    return WalkState(step=n + 1, amps_up=dst[0, 0], amps_down=dst[1, 0])
 
 
 def iter_steps(
@@ -499,11 +577,10 @@ def normalized_ratio(e_bits, n_terms):
 
     A single position term carries no walker-walker entanglement by
     definition.  Rounding can overshoot the exact maximum by a few ulp,
-    so the ratio is capped at its mathematical bound 1.
+    so the ratio is capped at its mathematical bound 1.  E is an entropy,
+    E >= 0, so one cap does both: 1 where N >= 2 and 0 elsewhere.
     """
-    n_terms = np.asarray(n_terms)
-    ratio = np.minimum(e_bits / np.log2(np.maximum(n_terms, 2)), 1.0)
-    return np.where(n_terms >= 2, ratio, 0.0)
+    return np.minimum(e_bits / np.log2(np.maximum(n_terms, 2)), np.greater_equal(n_terms, 2))
 
 
 def collapse_metrics(amps: np.ndarray) -> CollapseMetrics:
@@ -517,14 +594,16 @@ def collapse_metrics(amps: np.ndarray) -> CollapseMetrics:
     """
     weights = np.square(amps.real, dtype=np.float64)
     if np.iscomplexobj(amps):
-        weights += amps.imag * amps.imag
+        weights += np.square(amps.imag)
     probability = weights.sum(axis=-1)
-    weights /= np.where(probability > 0.0, probability, 1.0)[..., None]
-    n_terms = np.count_nonzero(weights > TERM_THRESHOLD * TERM_THRESHOLD, axis=-1)
-    terms = np.where(weights > 0.0, weights, 1.0)
+    # _TINY is the least positive float: every P > 0 divides as itself, and a
+    # weight of 0 gets a finite log that it multiplies back to 0
+    weights /= np.maximum(probability, _TINY)[..., None]
+    n_terms = (weights > TERM_THRESHOLD * TERM_THRESHOLD).sum(axis=-1)
+    terms = np.maximum(weights, _TINY)
     np.log2(terms, out=terms)
     terms *= weights
-    e_bits = -terms.sum(axis=-1) + 0.0
+    e_bits = 0.0 - terms.sum(axis=-1)  # 0 - (-0) is +0, so no E is -0
     return CollapseMetrics(probability, n_terms, e_bits, normalized_ratio(e_bits, n_terms))
 
 

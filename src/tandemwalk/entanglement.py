@@ -14,20 +14,22 @@ arrays.  Each measure depends only on r (`core.invariant`), so the helpers
 take one input, a (B, 2, 2) float64 stack of real coins of r
 (`core._real_coins`), never the complex U and V; the two walks give the
 same metrics to rounding.  The series collapses a block of steps per
-call, each step's rows zero-padded to a width set by the step alone, so
-its values do not depend on the batch or the block; the average
-collapses each step's bare rows, so the two can differ in the last digit.
+call, each step written by the engine straight into the next row of
+its block (`core._padded_walk`), zero-padded to a width set by the step
+alone, so its values do not depend on the batch or the block; the
+average collapses each step's bare rows, so the two can differ in the
+last digit.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from itertools import islice
 
 from .core import (
     CoinOperator,
     CollapseMetrics,
     ShiftOperator,
     Spin,
+    _padded_walk,
     _real_coins,
     collapse_metrics,
     walk_batch,
@@ -113,36 +115,18 @@ _WIDTH = 32
 _BLOCK = 1 << 14
 
 
-def _padded_blocks(coins, n_steps: int):
-    """Yield the amplitudes after steps 1..n_steps of the walks of the
-    (B, 2, 2) real coin stack `coins`, in order and in its dtype, as
-    zero-padded (steps, 2, B, width) blocks of consecutive steps of one
-    `_WIDTH` class, each at most `_BLOCK` amplitudes or one step.  A block
-    is overwritten by the next; collapse it before asking for that."""
-    steps, b = walk_batch(coins, None, n_steps), coins.shape[0]
-    for width in range(_WIDTH, n_steps + _WIDTH + 1, _WIDTH):
-        # the steps n of this width: width - _WIDTH < n + 1 <= width
-        first, last = max(1, width - _WIDTH), min(width - 1, n_steps)
-        size = max(1, min(last - first + 1, _BLOCK // (2 * b * width)))
-        # zeroed once: a later step of the class overwrites every slot an earlier one wrote
-        block = np.zeros((size, 2, b, width), coins.dtype)
-        for start in range(first, last + 1, size):
-            count = min(size, last + 1 - start)
-            for i, (n, amps) in enumerate(islice(steps, count)):
-                block[i, :, :, : n + 1] = amps
-            yield block[:count]
-
-
 def _metric_series(coins, n_steps: int) -> CollapseMetrics:
     """`collapse_metrics` after each of steps 1..n_steps of the walks of
     the real coin stack `coins`, each field stacked into an
     (n_steps, 2, B) array indexed by step - 1, `Spin.row`, then walk.
 
-    Steps collapse a `_padded_blocks` block at a time, so a walk's values
-    are the same to the bit alone or in any batch.  The zero padding can
-    move the floats in the last digit from a collapse of the bare row,
-    which `_averaged` and the searches run; N never moves.  n_steps >= 1."""
-    blocks = (collapse_metrics(block) for block in _padded_blocks(coins, n_steps))
+    Steps collapse a `core._padded_walk` block of `_WIDTH` classes and
+    `_BLOCK` amplitudes at a time, so a walk's values are the same to the
+    bit alone or in any batch.  The zero padding can move the floats in
+    the last digit from a collapse of the bare row, which `_averaged` and
+    the searches run; N never moves.  n_steps >= 1."""
+    blocks = _padded_walk(coins, n_steps, _WIDTH, _BLOCK)
+    blocks = (collapse_metrics(block) for block in blocks)
     return CollapseMetrics(*map(np.concatenate, zip(*blocks)))
 
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -652,6 +656,31 @@ class TestExitCodes:
         code, out, err = run(capsys, "search", "--coin", "z", "--steps", "4", "--out", str(missing))
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ") and "internal" not in err and "hits.csv" in err
+
+
+class TestRepeatedCalls:
+    """`main` builds its parser once per process and reuses it, so each call
+    must write what it writes in a fresh interpreter, whatever ran before."""
+
+    CALLS = [
+        ["evolve", "--coin", "general", "--rho", "0.3", "--theta", "1.1", "--eta", "2.0",
+         "--steps", "40"],
+        ["search", "--mode", "averaged", "--grid", "coarse"],  # fails to parse
+        ["sweep", "--figure", "fig1", "--steps", "3"],
+        ["evolve", "--coin", "kempe", "--alpha", "r2inv", "--beta-arg", "pi/2", "--steps", "7",
+         "--outcome", "up"],
+    ]
+
+    def test_each_call_writes_what_it_writes_alone(self, capsys):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        alone = [
+            subprocess.run([sys.executable, "-m", "tandemwalk", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for argv in self.CALLS
+        ]
+        assert [result.returncode for result in alone] == [0, 2, 0, 0]
+        together = [run(capsys, *argv) for argv in self.CALLS]
+        assert together == [(r.returncode, r.stdout, r.stderr) for r in alone]
 
 
 def assert_rows_match(text_rows, rows):

@@ -153,6 +153,16 @@ class TestShift:
         with pytest.raises(ValueError, match="alpha"):
             ShiftOperator(alpha=1.5)
 
+    def test_beta_is_the_matrix_entry_to_the_bit(self):
+        rng = np.random.default_rng(41)
+        pairs = list(zip(rng.uniform(0, 1, 200), rng.uniform(0, 2 * np.pi, 200)))
+        pairs += [(a, k * QUARTER) for a in (0.0, 0.37, BALANCED_ALPHA, 1.0) for k in range(4)]
+        for alpha, beta_arg in pairs:
+            s = ShiftOperator(alpha=alpha, beta_arg=beta_arg)
+            entry = complex(s.matrix()[0, 1])
+            assert type(s.beta) is complex
+            assert repr(s.beta) == repr(entry)  # the sign of a zero part too
+
     def test_balanced_shift_is_exactly_balanced(self):
         s = balanced_shift()
         assert s.alpha == BALANCED_ALPHA
@@ -326,6 +336,59 @@ class TestMeasurement:
                     result, metrics = measure_spin(state, outcome), collapse_metrics(amps)
                     assert result.probability == metrics.probability
                     assert result.term_count == metrics.term_count
+
+
+def reference_collapse(amps):
+    """`collapse_metrics` as it was written before it was made leaner: a
+    compare and a select for P = 0 and for zero weights, and a separate
+    cap for N < 2.  The fast one must give these bits."""
+    threshold = 1e-10 * 1e-10
+    weights = np.square(amps.real, dtype=np.float64)
+    if np.iscomplexobj(amps):
+        weights += amps.imag * amps.imag
+    probability = weights.sum(axis=-1)
+    weights /= np.where(probability > 0.0, probability, 1.0)[..., None]
+    n_terms = np.count_nonzero(weights > threshold, axis=-1)
+    terms = np.where(weights > 0.0, weights, 1.0)
+    np.log2(terms, out=terms)
+    terms *= weights
+    e_bits = -terms.sum(axis=-1) + 0.0
+    ratio = np.minimum(e_bits / np.log2(np.maximum(n_terms, 2)), 1.0)
+    return probability, n_terms, e_bits, np.where(n_terms >= 2, ratio, 0.0)
+
+
+class TestCollapseBits:
+    """The lean `collapse_metrics` against `reference_collapse`, to the bit
+    and the sign of zero, on the rows where its shortcuts could differ."""
+
+    ROWS = {
+        "exact zeros": np.array([[0.0, 0.6, 0.0, 0.8, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]]),
+        "all-zero rows": np.zeros((2, 3, 6)),
+        # (1e-160)^2 = 1e-320, a subnormal weight; the second row's P is subnormal itself
+        "subnormal weight": np.array([[1.0, 1e-160, 0.0, 3e-155], [1e-161, 2e-161, 0.0, 0.0]]),
+        "complex": np.array([[0.6 + 0j, 0.0, -0.8j, 0.0], [0.0, 0j, 0.0, 0.0], [1e-160j, 0.5, 0.5j, 0.0]]),
+        "1-d": np.array([0.0, 0.28, 0.0, 0.96]),
+        "1-d complex": np.array([0.6j, 0.0, 0.8 + 0j]),
+        "0-d": np.array(0.6),
+        "0-d zero": np.array(0j),
+        "one term below the threshold": np.array([1.0, 1e-11, 0.0]),
+    }
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_bits_of_the_reference(self, name):
+        amps = self.ROWS[name]
+        for got, want in zip(collapse_metrics(amps), reference_collapse(amps)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_walk_rows_match_the_reference(self):
+        rng = np.random.default_rng(83)
+        coin, shift = random_operators(rng)
+        for _, amps in walk_batch(coin.matrix()[None], shift.matrix()[None], 60):
+            for got, want in zip(collapse_metrics(amps), reference_collapse(amps)):
+                assert np.array_equal(got, want)
 
 
 class TestLongWalks:

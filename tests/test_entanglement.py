@@ -21,8 +21,8 @@ from tandemwalk import (
     z_coin,
 )
 import tandemwalk.entanglement as entanglement
-from tandemwalk.core import _real_coins, collapse_metrics, walk_batch
-from tandemwalk.entanglement import _metric_series, _padded_blocks
+from tandemwalk.core import _padded_walk, _real_coins, collapse_metrics, walk_batch
+from tandemwalk.entanglement import _metric_series
 
 # -(0.8 log2 0.8 + 0.2 log2 0.2), evaluated directly from the formula
 ENTROPY_08_02 = 0.7219280948873623
@@ -250,6 +250,28 @@ def _walks(count, seed):
     return _real_coins(*np.c_[np.array([rho, theta, eta, alpha, beta_arg]), points.T])
 
 
+#: walks in a batch too wide for two steps of the first width class in a block
+_ONE_STEP_WALKS = entanglement._BLOCK // (2 * 2 * entanglement._WIDTH) + 1
+
+
+def _padded_blocks(coins, n):
+    """The series' blocks of `_padded_walk`, at the `_WIDTH` and `_BLOCK`
+    that `_metric_series` reads when called."""
+    return _padded_walk(coins, n, entanglement._WIDTH, entanglement._BLOCK)
+
+
+def _padded_steps(coins, n):
+    """`collapse_metrics` of each step of `walk_batch`, its rows zero-padded
+    to the step's `_WIDTH` class, stacked as `_metric_series` stacks them."""
+    steps = []
+    for a, amps in walk_batch(coins, None, n):
+        width = -(-(a + 1) // entanglement._WIDTH) * entanglement._WIDTH
+        padded = np.zeros(amps.shape[:-1] + (width,))
+        padded[..., : a + 1] = amps
+        steps.append(collapse_metrics(padded))
+    return [np.stack(field) for field in zip(*steps)]
+
+
 class TestBlockedSeries:
     """`_metric_series` collapses padded blocks of steps; it must agree with
     a collapse per step, and a walk's values must not depend on its batch."""
@@ -275,22 +297,30 @@ class TestBlockedSeries:
     @pytest.mark.parametrize("budget", [entanglement._BLOCK, 1])
     def test_batch_equals_each_walk_alone_to_the_bit(self, monkeypatch, budget):
         monkeypatch.setattr(entanglement, "_BLOCK", budget)
-        coins = _walks(47, seed=7)
-        n = 200
-        batch = _metric_series(coins, n)
-        for j in range(coins.shape[0]):
-            alone = _metric_series(coins[j : j + 1], n)
-            for field, own in zip(batch, alone):
-                assert np.array_equal(field[:, :, j : j + 1], own)
+        # 200 steps, the width-class edges 31-33, and a batch wide enough that
+        # even the default budget steps it in one-step blocks
+        for coins, n in [(_walks(47, seed=7), 200), *((_walks(5, seed=n), n) for n in (31, 32, 33)),
+                         (_walks(_ONE_STEP_WALKS, seed=9), 40)]:
+            batch = _metric_series(coins, n)
+            for j in range(coins.shape[0]):
+                alone = _metric_series(coins[j : j + 1], n)
+                for field, own in zip(batch, alone):
+                    assert np.array_equal(field[:, :, j : j + 1], own)
 
     def test_budget_changes_no_bit(self, monkeypatch):
-        coins = _walks(2, seed=3)
-        n = 300
-        default = _metric_series(coins, n)
+        cases = [(_walks(2, seed=3), 300), *((_walks(3, seed=n), n) for n in (31, 32, 33)),
+                 (_walks(_ONE_STEP_WALKS, seed=4), 40)]
+        default = [_metric_series(coins, n) for coins, n in cases]
+        assert all(len(block) == 1 for block in _padded_blocks(*cases[-1]))
         monkeypatch.setattr(entanglement, "_BLOCK", 1)
-        assert all(len(block) == 1 for block in _padded_blocks(coins, n))
-        for field, single in zip(default, _metric_series(coins, n)):
-            assert np.array_equal(field, single)
+        for (coins, n), series in zip(cases, default):
+            assert all(len(block) == 1 for block in _padded_blocks(coins, n))
+            single = _metric_series(coins, n)
+            # and each step is the collapse of walk_batch's row alone, zero-padded to its class
+            steps = _padded_steps(coins, n)
+            for field, one, own in zip(series, single, steps):
+                assert np.array_equal(field, one)
+                assert np.array_equal(field, own)
 
     def test_blocks_are_padded_width_classes_within_the_budget(self):
         coins = _walks(1, seed=1)
