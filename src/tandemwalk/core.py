@@ -13,13 +13,14 @@ Measuring the coin collapses the position factor to a pure state whose
 amplitudes carry the walker-walker entanglement.
 
 After n steps the pair can only sit at sites 2k - n, where k counts the
-up moves, so amplitudes are stored by k in n + 1 slots.  One engine,
-`walk_batch`, evolves a batch of walks in that layout; `iter_steps` and
-`evolve` run it as a batch of one on complex U and V.  Every step, there,
-in `step` and in `_padded_walk`, which writes the per-step series of
-`entanglement` straight into zero-padded blocks, is one routine,
-`_advance`, which works through preallocated scratch, so a step
-allocates and copies nothing.
+up moves, so amplitudes are stored by k in n + 1 slots.  One generator,
+`_padded_walk`, steps a batch of walks, each step into the next row of a
+block of steps zero-padded to a width set by the step alone; the metric
+paths collapse those rows, and `walk_batch`, the public engine, yields
+their first n + 1 slots.  `iter_steps` and `evolve` run it as a batch of
+one on complex U and V.  Every step, there and in `step`, is one
+routine, `_advance`, which works through preallocated scratch, so a
+step allocates and copies nothing.
 Every metric depends only on r = |W00| of W = V U (`invariant`), so the
 metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
 (|W00|, |W01|) instead, one float64 mix per step: the metric helpers of
@@ -401,13 +402,6 @@ def initial_state() -> WalkState:
     return WalkState(0, np.ones(1, np.complex128), np.zeros(1, np.complex128))
 
 
-def _start(b: int, dtype) -> np.ndarray:
-    """(2, b, 1) amplitudes of b walks at |up> (x) |0,0>, step 0."""
-    amps = np.zeros((2, b, 1), dtype)
-    amps[0, :, 0] = 1.0
-    return amps
-
-
 def _written(amps: np.ndarray) -> np.ndarray:
     """The slots a step writes in (..., 2, B, width) amplitudes, as one
     (..., 2, B, width - 1) view: up slots 1.. (an up output's last move
@@ -458,8 +452,56 @@ def _advance(src: np.ndarray, dst: np.ndarray, n: int, mixes, scratch) -> None:
         amps = np.add(products[:, 0], products[:, 1], out=out)
 
 
-#: slots per walk of `walk_batch`'s first buffer, which grows as the front moves
-_FIRST_SLOTS = 32
+#: every step's rows are zero-padded to the next multiple of this width;
+#: the rounding of a collapse's P and E sums depends on the row width
+#: alone, so a step collapses to the same bits in any block or batch
+_WIDTH = 32
+
+#: amplitudes per block of `_padded_walk` (steps x 2 x B x padded width),
+#: or one step for a batch too wide for two; a block this small is still
+#: in cache when it collapses (2^16, a whole width class of an 800-step
+#: walk per block, made a 25-walk series slower)
+_BLOCK = 1 << 14
+
+
+def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
+    """Step the walks of `walk_batch(u, v, n_steps)`, the one stepping
+    generator, and yield (n, row, block) after each step n.
+
+    row is step n's (2, B, w) amplitudes, zero-padded to w = the next
+    multiple of `_WIDTH` above n.  block is None but on the last row of
+    a block, where it is the (steps, 2, B, w) block of consecutive steps
+    of one width, at most `_BLOCK` amplitudes or one step, that ends
+    there.  `_advance` writes each step straight into the next row of
+    its block, from the row before (a one-step block's row from itself),
+    so a block is overwritten by the next; collapse it before asking for
+    that.  Masks are sent as `walk_batch` takes them; one moves the kept
+    walks to the front of every row of the block so far, so a finished
+    block holds the kept walks alone.
+    """
+    stacks = [u] if v is None else [u, v]
+    mixes, dtype, b = [_mixes(m) for m in stacks], np.result_type(*stacks), u.shape[0]
+    amps = np.zeros((2, b, 1), dtype)
+    amps[0] = 1.0  # |up> (x) |0,0>, step 0
+    for w in range(_WIDTH, n_steps + _WIDTH + 1, _WIDTH):
+        # the steps n of this width: w - _WIDTH < n + 1 <= w
+        first, last = max(1, w - _WIDTH), min(w - 1, n_steps)
+        size = max(1, min(last - first + 1, _BLOCK // (2 * b * w)))
+        # zeroed once: a later step in a row overwrites every slot an earlier one wrote
+        block = np.zeros((size, 2, b, w), dtype)
+        written, scratch = _written(block), _scratch(len(mixes), b, w, dtype)
+        for start in range(first, last + 1, size):
+            steps = range(start, min(start + size, last + 1))
+            for row, n in enumerate(steps):
+                _advance(amps, written[row], n - 1, mixes, scratch)
+                amps = block[row]
+                keep = yield n, amps, block[: row + 1] if n == steps[-1] else None
+                if keep is not None:  # the kept walks move to the front, in place
+                    stacks = [m[keep] for m in stacks]
+                    mixes, b = [_mixes(m) for m in stacks], stacks[0].shape[0]
+                    block[: row + 1, :, :b] = block[: row + 1, :, keep]
+                    block, written = block[:, :, :b], written[:, :, :b]
+                    amps = block[row]
 
 
 def walk_batch(
@@ -471,13 +513,9 @@ def walk_batch(
     complex128.  With v None, u alone is the mix, and a float64 u such as
     `_real_coins` gives walks in float64.  Yields (n, amps) after each of
     steps 1..n_steps, where amps is a (2, B, n + 1) view: row `Spin.row`,
-    walk, then k = number of up moves.  The view is overwritten by the
-    next step; copy what you keep.
-
-    `_advance` writes each step over the last, in one buffer of
-    `_FIRST_SLOTS` slots per walk at first.  When the front reaches its
-    end, the next step goes into a buffer twice as wide, so the pages of
-    later steps are touched only by walks that reach them.
+    walk, then k = number of up moves.  It views the row of
+    `_padded_walk`, which steps the walks, so a later step overwrites it;
+    copy what you keep.
 
     A consumer can drop walks between steps: `send` a (B,) boolean mask
     of the walks to keep instead of calling `next`, and the later steps
@@ -488,48 +526,10 @@ def walk_batch(
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    stacks = [u] if v is None else [u, v]
-    mixes, dtype = [_mixes(m) for m in stacks], np.result_type(u, v)
-    amps = _start(u.shape[0], dtype)
-    for n in range(n_steps):
-        src = amps
-        if amps.shape[-1] < n + 2:  # step 1, or the front reached the end of the buffer
-            width = min(max(_FIRST_SLOTS, 2 * amps.shape[-1]), n_steps + 1)
-            amps = np.zeros(amps.shape[:2] + (width,), dtype)
-            written, scratch = _written(amps), _scratch(len(mixes), amps.shape[1], width, dtype)
-        _advance(src, written, n, mixes, scratch)
-        keep = yield n + 1, amps[:, :, : n + 2]
-        if keep is not None:
-            stacks = [m[keep] for m in stacks]
-            mixes = [_mixes(m) for m in stacks]
-            kept = stacks[0].shape[0]  # those walks move to the front, in place
-            amps[:, :kept, : n + 2] = amps[:, keep, : n + 2]  # slots past n + 1 stay zero
-            amps, written = amps[:, :kept], written[:, :kept]
-
-
-def _padded_walk(coins: np.ndarray, n_steps: int, width: int, budget: int):
-    """Yield the amplitudes after steps 1..n_steps of the walks of the
-    (B, 2, 2) real coin stack `coins`, in order and in its dtype, as
-    zero-padded (steps, 2, B, w) blocks of consecutive steps whose n + 1
-    slots round up to the same multiple w of width, each at most budget
-    amplitudes or one step.  `_advance` writes each step straight into
-    the next row of its block, from the row before (a one-step block's
-    row from itself), so a block is overwritten by the next; collapse it
-    before asking for that."""
-    amps, b = _start(coins.shape[0], coins.dtype), coins.shape[0]
-    mixes = [_mixes(coins)]
-    for w in range(width, n_steps + width + 1, width):
-        # the steps n of this width: w - width < n + 1 <= w
-        first, last = max(1, w - width), min(w - 1, n_steps)
-        size = max(1, min(last - first + 1, budget // (2 * b * w)))
-        # zeroed once: a later step in a row overwrites every slot an earlier one wrote
-        block = np.zeros((size, 2, b, w), coins.dtype)
-        written, scratch = _written(block), _scratch(1, b, w, coins.dtype)
-        for start in range(first, last + 1, size):
-            for row, n in enumerate(range(start, min(start + size, last + 1))):
-                _advance(amps, written[row], n - 1, mixes, scratch)
-                amps = block[row]
-            yield block[: row + 1]
+    walk, keep = _padded_walk(u, v, n_steps), None
+    for _ in range(n_steps):
+        n, row, _ = walk.send(keep)
+        keep = yield n, row[:, :, : n + 1]
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:

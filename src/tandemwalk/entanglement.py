@@ -13,12 +13,11 @@ functions run a batch of one, and `sweep` and the CLI index the same
 arrays.  Each measure depends only on r (`core.invariant`), so the helpers
 take one input, a (B, 2, 2) float64 stack of real coins of r
 (`core._real_coins`), never the complex U and V; the two walks give the
-same metrics to rounding.  The series collapses a block of steps per
-call, each step written by the engine straight into the next row of
-its block (`core._padded_walk`), zero-padded to a width set by the step
-alone, so its values do not depend on the batch or the block; the
-average collapses each step's bare rows, so the two can differ in the
-last digit.
+same metrics to rounding.  Both collapse each step's rows of
+`core._padded_walk`, zero-padded to a width set by the step alone: the
+series a block of steps per call, the average a step as it comes.  So
+a walk's values do not depend on its batch or block, and the average
+is the mean of the series, summed step by step, to the bit.
 """
 
 import numpy as np
@@ -32,7 +31,6 @@ from .core import (
     _padded_walk,
     _real_coins,
     collapse_metrics,
-    walk_batch,
 )
 
 __all__ = [
@@ -105,28 +103,17 @@ class AveragedEntanglement:
     value: float
 
 
-#: a series collapses step n's rows zero-padded to the next multiple of
-#: this width; the rounding of the P and E sums depends on the row width
-#: alone, so every step rounds the same in any block, batch or chunk
-_WIDTH = 32
-
-#: amplitudes per collapse block of a series (steps x 2 x B x padded
-#: width); a batch too wide for two steps collapses one step at a time
-_BLOCK = 1 << 14
-
-
 def _metric_series(coins, n_steps: int) -> CollapseMetrics:
     """`collapse_metrics` after each of steps 1..n_steps of the walks of
     the real coin stack `coins`, each field stacked into an
     (n_steps, 2, B) array indexed by step - 1, `Spin.row`, then walk.
 
-    Steps collapse a `core._padded_walk` block of `_WIDTH` classes and
-    `_BLOCK` amplitudes at a time, so a walk's values are the same to the
-    bit alone or in any batch.  The zero padding can move the floats in
-    the last digit from a collapse of the bare row, which `_averaged` and
-    the searches run; N never moves.  n_steps >= 1."""
-    blocks = _padded_walk(coins, n_steps, _WIDTH, _BLOCK)
-    blocks = (collapse_metrics(block) for block in blocks)
+    Steps collapse a finished `core._padded_walk` block at a time, each
+    row zero-padded to its width class, so a walk's values are the same
+    to the bit alone, in any batch and at any block size, and equal the
+    values `_averaged` and the searches collapse.  n_steps >= 1."""
+    walk = _padded_walk(coins, None, n_steps)
+    blocks = (collapse_metrics(block) for _, _, block in walk if block is not None)
     return CollapseMetrics(*map(np.concatenate, zip(*blocks)))
 
 
@@ -144,19 +131,20 @@ def _averaged(coins, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
     `normalized_ratio`.  A walk whose rows are both dead leaves the
     batch, so the later steps only pay for the others; their numbers
     are the same as in a batch that dropped nothing.  The defaults drop
-    no walk.
+    no walk.  Each step collapses its padded row of `core._padded_walk`,
+    as `_metric_series` does, and the steps add up in order.
     """
     walks = np.arange(coins.shape[0])
     total, min_p = np.zeros((2, walks.size)), np.ones((2, walks.size))
     # the slack keeps summation rounding from dropping a mean just above avg_threshold
     floor = avg_threshold * (n_steps - 1) - 1e-9
-    steps, keep = walk_batch(coins, None, n_steps), None
+    steps, keep = _padded_walk(coins, None, n_steps), None
     for a in range(1, n_steps + 1):
-        _, amps = steps.send(keep)
+        _, row, _ = steps.send(keep)
         keep = None
         if a < 2:  # one step leaves one term and is left out of the average
             continue
-        metrics = collapse_metrics(amps)
+        metrics = collapse_metrics(row)
         total += metrics.normalized
         np.minimum(min_p, metrics.probability, out=min_p)
         last_n = metrics.term_count

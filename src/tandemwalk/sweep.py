@@ -14,15 +14,16 @@ turn the pieces of `_search` into `MaxEntanglementHit` tuples; the CLI
 turns the same pieces into CSV text.  The scan cuts the product into
 chunks of consecutive points, sized so memory stays bounded, and builds
 each chunk's real coins of r (`core.invariant`): every metric depends on
-r alone.  The reducer evolves the chunk through the one walk engine in
-`core` (`walk_batch` in float64, with `collapse_metrics`) into rows or
-hits; the two hit reducers run one walk per distinct real coin of a
-chunk (`_distinct_coins`) and give its hits to each entry with that
-coin (`_to_walks`).  Sweep rows index the per-step series and the
+r alone.  The reducer evolves the chunk through the one stepping
+generator in `core` (`_padded_walk` in float64, with `collapse_metrics`)
+into rows or hits; the two hit reducers run one walk per distinct real
+coin of a chunk (`_distinct_coins`) and give its hits to each entry with
+that coin (`_to_walks`).  Sweep rows index the per-step series and the
 average of `entanglement` (`_metric_series`, `_averaged`), the same
 code the single-walk functions run; the averaged grid search runs that
 average too and drops, between steps, the walks that can no longer
-become hits.
+become hits.  Every path collapses a step's rows zero-padded to the
+same width, so rows and hits carry the bits of the walk's series.
 Grid-search chunks can also go to worker processes; chunk boundaries
 depend only on the grid, never on the worker count, so output order and
 content are identical for any parallelism.
@@ -43,11 +44,11 @@ from .core import (
     Spin,
     _checked,
     _domain,
+    _padded_walk,
     _real_coins,
     collapse_metrics,
     hadamard_coin,
     kempe_coin,
-    walk_batch,
     z_coin,
 )
 from .entanglement import _averaged, _metric_series
@@ -357,20 +358,22 @@ def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
     """Hit columns (walk, step, row, normalized E, P, N) of every
     (walk, step, spin) whose collapse is maximally entangled with
     probability above p_threshold, by walk, then step, then up before
-    down.  Each distinct coin walks once (`_distinct_coins`).
+    down.  Each distinct coin walks once (`_distinct_coins`), and its
+    steps collapse a finished `core._padded_walk` block at a time, as
+    the per-step series does.
     """
     coins, inverse = _distinct_coins(coins)
     empty = np.zeros(0, dtype=np.int64)
     found = [(empty, empty, empty, np.zeros(0), np.zeros(0), empty)]
-    for a, amps in walk_batch(coins, None, n_steps):
-        if a < 2:  # one step leaves one term: never entangled
+    for n, _, block in _padded_walk(coins, None, n_steps):
+        if block is None or n < 2:  # a block of step 1 alone: one term, never entangled
             continue
-        metrics = collapse_metrics(amps)
+        metrics = collapse_metrics(block)
         hit = (metrics.normalized > 1.0 - maximal_atol) & (metrics.probability > p_threshold)
-        rows, walks = np.nonzero(hit)
+        steps, rows, walks = np.nonzero(hit)
         found.append((
             walks,
-            np.full(walks.size, a),
+            steps + (n + 1 - len(block)),
             rows,
             metrics.normalized[hit],
             metrics.probability[hit],
@@ -490,8 +493,10 @@ def grid_search(
 
     The scan holds one entry per key (see `_key_walks`), runs one walk
     per distinct real coin of a chunk of keys, and gives each walk's
-    hits to every point of the keys with that coin; floats can differ
-    from a walk at the point in the last digit.  Hits stream in grid
+    hits to every point of the keys with that coin.  A hit's values are
+    those of its walk's `walk_entanglement_series`, to the bit (the mean
+    of its steps 2..n_steps for AVERAGED_HIGH); they can differ from a
+    walk at the point itself in the last digit.  Hits stream in grid
     order (then step, then up before down).  The scan is chunked, so
     memory stays bounded for any grid size; chunks and workers count
     keys: workers > 1 spreads chunks over up to that many processes (no

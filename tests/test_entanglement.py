@@ -4,12 +4,16 @@ import pytest
 from tandemwalk import (
     CoinFamily,
     CoinOperator,
+    SearchMode,
     ShiftOperator,
     Spin,
     SweepSpec,
     averaged_entanglement,
     balanced_shift,
     entropy,
+    find_max_cases,
+    grid_axis,
+    grid_search,
     hadamard_coin,
     kempe_coin,
     measure_spin,
@@ -20,9 +24,11 @@ from tandemwalk import (
     walk_entanglement_series,
     z_coin,
 )
-import tandemwalk.entanglement as entanglement
+import tandemwalk.core as core
+import tandemwalk.sweep as sweep
 from tandemwalk.core import _padded_walk, _real_coins, collapse_metrics, walk_batch
 from tandemwalk.entanglement import _metric_series
+from tandemwalk.sweep import PARAM_RANGES
 
 # -(0.8 log2 0.8 + 0.2 log2 0.2), evaluated directly from the formula
 ENTROPY_08_02 = 0.7219280948873623
@@ -235,29 +241,39 @@ class TestAveraged:
                 assert averaged_entanglement(coin, shift, n, Spin(outcome)).value == value
 
 
-def _walks(count, seed):
-    """Real coin stack (`_real_coins`) of `count` seeded general walks, then
-    the two chains and the bounce, which collapse to exact zeros."""
+def _operators(count, seed):
+    """(coin, shift) of `count` seeded general walks, then the two chains
+    and the bounce, which collapse to exact zeros."""
     rng = np.random.default_rng(seed)
     rho, theta, eta = rng.uniform(0, 1, count), *rng.uniform(0, np.pi, (2, count))
     alpha, beta_arg = rng.uniform(0, 1, count), rng.uniform(0, 2 * np.pi, count)
-    special = [
+    general = [
+        (CoinOperator(*map(float, coin)), ShiftOperator(*map(float, shift)))
+        for coin, shift in zip(zip(rho, theta, eta), zip(alpha, beta_arg))
+    ]
+    return general + [
         (hadamard_coin(), balanced_shift(0.0)),
         (kempe_coin(), balanced_shift(3 * np.pi / 2)),
         (kempe_coin(), balanced_shift(np.pi / 2)),
     ]
-    points = np.array([[*vars(coin).values(), *vars(shift).values()] for coin, shift in special])
-    return _real_coins(*np.c_[np.array([rho, theta, eta, alpha, beta_arg]), points.T])
+
+
+def _walks(count, seed):
+    """Real coin stack (`_real_coins`) of the walks of `_operators`."""
+    operators = _operators(count, seed)
+    points = [[*vars(coin).values(), *vars(shift).values()] for coin, shift in operators]
+    return _real_coins(*np.array(points).T)
 
 
 #: walks in a batch too wide for two steps of the first width class in a block
-_ONE_STEP_WALKS = entanglement._BLOCK // (2 * 2 * entanglement._WIDTH) + 1
+_ONE_STEP_WALKS = core._BLOCK // (2 * 2 * core._WIDTH) + 1
 
 
 def _padded_blocks(coins, n):
-    """The series' blocks of `_padded_walk`, at the `_WIDTH` and `_BLOCK`
-    that `_metric_series` reads when called."""
-    return _padded_walk(coins, n, entanglement._WIDTH, entanglement._BLOCK)
+    """The finished blocks of `_padded_walk`, which `_metric_series`
+    collapses, at the `_BLOCK` it reads when called; each is overwritten
+    by the next."""
+    return (block for _, _, block in _padded_walk(coins, None, n) if block is not None)
 
 
 def _padded_steps(coins, n):
@@ -265,7 +281,7 @@ def _padded_steps(coins, n):
     to the step's `_WIDTH` class, stacked as `_metric_series` stacks them."""
     steps = []
     for a, amps in walk_batch(coins, None, n):
-        width = -(-(a + 1) // entanglement._WIDTH) * entanglement._WIDTH
+        width = -(-(a + 1) // core._WIDTH) * core._WIDTH
         padded = np.zeros(amps.shape[:-1] + (width,))
         padded[..., : a + 1] = amps
         steps.append(collapse_metrics(padded))
@@ -294,9 +310,9 @@ class TestBlockedSeries:
         assert np.all(series.entropy[:, :, -1] == 0.0)  # the bounce: product states only
         assert np.all(series.term_count[:, :, -3:] <= 1)
 
-    @pytest.mark.parametrize("budget", [entanglement._BLOCK, 1])
+    @pytest.mark.parametrize("budget", [core._BLOCK, 1])
     def test_batch_equals_each_walk_alone_to_the_bit(self, monkeypatch, budget):
-        monkeypatch.setattr(entanglement, "_BLOCK", budget)
+        monkeypatch.setattr(core, "_BLOCK", budget)
         # 200 steps, the width-class edges 31-33, and a batch wide enough that
         # even the default budget steps it in one-step blocks
         for coins, n in [(_walks(47, seed=7), 200), *((_walks(5, seed=n), n) for n in (31, 32, 33)),
@@ -312,7 +328,7 @@ class TestBlockedSeries:
                  (_walks(_ONE_STEP_WALKS, seed=4), 40)]
         default = [_metric_series(coins, n) for coins, n in cases]
         assert all(len(block) == 1 for block in _padded_blocks(*cases[-1]))
-        monkeypatch.setattr(entanglement, "_BLOCK", 1)
+        monkeypatch.setattr(core, "_BLOCK", 1)
         for (coins, n), series in zip(cases, default):
             assert all(len(block) == 1 for block in _padded_blocks(coins, n))
             single = _metric_series(coins, n)
@@ -328,9 +344,87 @@ class TestBlockedSeries:
         for block in _padded_blocks(coins, n):
             size, _, b, width = block.shape
             last = first + size - 1
-            assert width % entanglement._WIDTH == 0
-            assert width - entanglement._WIDTH < first + 1 and last + 1 <= width
-            assert size == 1 or size * 2 * b * width <= entanglement._BLOCK
+            assert width % core._WIDTH == 0
+            assert width - core._WIDTH < first + 1 and last + 1 <= width
+            assert size == 1 or size * 2 * b * width <= core._BLOCK
             assert np.all(block[-1, :, :, last + 1 :] == 0.0)
             first = last + 1
         assert first == n + 1
+
+
+def _sequential_mean(normalized):
+    """Mean of steps 2..n of an (n, ...) array of normalized E, summed one
+    step at a time from step 2, as the definition reads."""
+    total = np.zeros(normalized.shape[1:])
+    for value in normalized[1:]:
+        total += value
+    return total / (len(normalized) - 1)
+
+
+def _walked_coins(hits, grid_step):
+    """The real coin whose walk gave each hit: the first point of the
+    hit's key for a grid search (`sweep._key_walks`), the hit's own point
+    for a catalog (grid_step None)."""
+    params = np.array([hit[:5] for hit in hits]).T
+    if grid_step is None:
+        return _real_coins(*params)
+    axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
+    (rho, rest), key, _ = sweep._key_walks(axes)
+    keys = key([np.searchsorted(axis, values) for axis, values in zip(axes, params)])
+    first, j = np.divmod(keys, len(rest))
+    return _real_coins(rho[first], *rest[j].T)
+
+
+class TestOneCollapseRule:
+    """Every metric path collapses step n's rows zero-padded to its width
+    class, so the average, the averaged sweep rows and every search hit
+    carry the per-step series' bits."""
+
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 200])
+    def test_average_is_the_sequential_mean_of_the_series(self, n):
+        for coin, shift in _operators(10, seed=n):
+            fixed = {**vars(coin), "alpha": shift.alpha}
+            beta_arg = shift.beta_arg
+            spec = SweepSpec(CoinFamily.GENERAL, "beta_arg", beta_arg, beta_arg, 1.0, n, fixed)
+            _, rows = sweep_1d(spec)
+            assert [row[0] for row in rows] == [beta_arg] * 2
+            for _, outcome, row_mean in rows:
+                outcome = Spin(outcome)
+                series = walk_entanglement_series(coin, shift, n, outcome)
+                mean = _sequential_mean(np.array([record.normalized for record in series]))
+                assert averaged_entanglement(coin, shift, n, outcome).value == mean
+                assert row_mean == mean
+
+    @pytest.mark.parametrize("search, n, grid_step", [
+        ("isolated", 33, 0.3),
+        ("averaged", 33, 0.6),
+        ("averaged", 200, 0.6),
+        ("z-catalog", 33, None),
+    ])
+    def test_hits_carry_their_walks_series(self, search, n, grid_step):
+        if search == "isolated":
+            hits = list(grid_search(grid_step, n, SearchMode.ISOLATED_MAX))
+        elif search == "averaged":
+            hits = list(grid_search(grid_step, n, SearchMode.AVERAGED_HIGH, avg_threshold=0.75))
+        else:
+            hits = find_max_cases(CoinFamily.Z, n_max=n, p_threshold=0.15)
+        assert len(hits) > 500
+        coins, inverse = np.unique(_walked_coins(hits, grid_step), axis=0, return_inverse=True)
+        series = _metric_series(coins, n)
+        walk = inverse.ravel()
+        row = np.array([hit.outcome.row for hit in hits])
+        got = np.array([(hit.normalized, hit.probability) for hit in hits]).T
+        n_terms = np.array([hit.term_count for hit in hits])
+        if search == "averaged":  # the mean, the least P and the last N of steps 2..n
+            expected = (
+                _sequential_mean(series.normalized)[row, walk],
+                series.probability[1:].min(axis=0)[row, walk],
+                series.term_count[-1, row, walk],
+            )
+        else:
+            step = np.array([hit.step for hit in hits]) - 1
+            fields = (series.normalized, series.probability, series.term_count)
+            expected = [field[step, row, walk] for field in fields]
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        assert np.array_equal(n_terms, expected[2])

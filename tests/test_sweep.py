@@ -331,12 +331,12 @@ class TestDistinctCoins:
     @pytest.mark.parametrize("search", list(SEARCHES))
     def test_walk_batch_walks_the_distinct_coins(self, monkeypatch, search):
         chunks, batches = [], []
-        for module in (sweep, entanglement):
-            def spy(coins, v, n_steps, walk=module.walk_batch):
+        for module in (sweep, entanglement):  # the reducers step through core._padded_walk
+            def spy(coins, v, n_steps, walk=module._padded_walk):
                 batches.append(coins.shape[0])
                 return walk(coins, v, n_steps)
 
-            monkeypatch.setattr(module, "walk_batch", spy)
+            monkeypatch.setattr(module, "_padded_walk", spy)
         for name in ("_isolated_hits", "_averaged_hits"):
             def reduce(params, coins, *args, hits=getattr(sweep, name)):
                 chunks.append(coins)
