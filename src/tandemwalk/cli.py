@@ -5,11 +5,13 @@ version, parameter echo, tolerances), so every file documents how it was
 produced.  Rows are emitted in deterministic grid order and never depend
 on the worker count.  Every field is the `str` of its value, and `_emit`
 writes rows a block of text at a time: a row per block for sweeps, one
-block for a walk, whose rows are each one f-string over its series'
-columns, and a fan-out piece per block for searches, whose axis values
-and key hits are each formatted once per search or piece.  A search row
-joins three texts: the `rho,theta,eta,alpha,` prefix, made once for the
-run of rows of one beta_arg row of the grid, its beta_arg and its key hit.
+block for a walk, whose rows join the texts of its series' columns, made
+a column at a time, and a fan-out piece per block for searches, whose
+axis values and key hits are each formatted once per search.  A search
+row joins three texts: the `rho,theta,eta,alpha,` prefix, made once for
+the run of rows of one beta_arg row of the grid, its beta_arg and its
+key hit.  A piece's work is proportional to its own rows, and its
+buffers stay small enough to be reused from piece to piece.
 """
 
 import argparse
@@ -231,16 +233,17 @@ def cmd_evolve(args) -> int:
     outcomes = _parse_outcomes(args.outcome)  # down before up, the row order
     series = _metric_series(_real_coins(**vars(coin), **vars(shift)), args.steps)
     rows = [""] * (args.steps * len(outcomes))  # by step, then outcome
-    for i, outcome in enumerate(outcomes):  # each row's fields as `_lines` writes them
-        spin, columns = outcome.value, (column[:, outcome.row, 0].tolist() for column in series)
-        rows[i :: len(outcomes)] = [
-            f"{n},{spin},{p},{k},{e},{x}\n"
-            for n, p, k, e, x in zip(range(1, args.steps + 1), *columns)
-        ]
+    for i, outcome in enumerate(outcomes):
+        # each field as `_lines` writes it: the repr of a float is its str
+        p, k, e, x = (column[:, outcome.row, 0].tolist() for column in series)
+        rows[i :: len(outcomes)] = map(",".join, zip(
+            map(str, range(1, args.steps + 1)), [outcome.value] * args.steps,
+            map(repr, p), map(str, k), map(repr, e), map(repr, x),
+        ))
     meta = {"command": "evolve", **_operator_meta(args.coin, {**vars(coin), **vars(shift)})}
     meta.update(steps=args.steps, outcome=args.outcome, term_threshold=TERM_THRESHOLD)
     header = ["step", "outcome", "P", "N", "E_bits", "normalized_E"]
-    _write_csv(args.out, meta, header, [("".join(rows), len(rows))])
+    _write_csv(args.out, meta, header, [("\n".join(rows) + "\n", len(rows))])
     return 0
 
 
@@ -347,25 +350,26 @@ def cmd_sweep(args) -> int:
 
 
 def _search_blocks(axes, pieces):
-    """One block per search piece.  Each axis value, and each key hit a
-    piece uses (marked in a mask over the key hits, so nothing is
-    sorted), is formatted once as the `str` of the value a
-    `MaxEntanglementHit` holds.  Consecutive rows of one beta_arg row of
-    the grid share one `rho,theta,eta,alpha,` prefix, made once per such
-    group, and one join of prefix, beta_arg and key-hit texts makes the
-    piece's rows."""
+    """One block per search piece.  Each axis value, and on the first
+    piece each key hit (every piece carries the whole key-hit columns),
+    is formatted once per search as the `str` of the value a
+    `MaxEntanglementHit` holds, so a piece only indexes texts by its own
+    rows.  Consecutive rows of one beta_arg row of the grid share one
+    `rho,theta,eta,alpha,` prefix, made once per such group, and one join
+    of prefix, beta_arg and key-hit texts makes the piece's rows."""
     *heads, betas = (
         np.array([str(x) + "," for x in axis.tolist()], dtype=object) for axis in axes
     )
     shape = [label.size for label in heads]
+    tails = None
     for points, hits, columns in pieces:
-        used = np.zeros(columns[0].size, dtype=bool)
-        used[hits] = True
-        inverse = (np.cumsum(used) - 1)[hits]
-        used = np.flatnonzero(used)
-        step, rows, *metrics = (column[used].tolist() for column in columns)
-        spins = [_SPINS[r] for r in rows]
-        tails = [",".join(map(str, hit)) + "\n" for hit in zip(step, spins, *metrics)]
+        if tails is None:
+            step, rows, *metrics = (column.tolist() for column in columns)
+            spins = [_SPINS[r] for r in rows]
+            tails = np.array(
+                [",".join(map(str, hit)) + "\n" for hit in zip(step, spins, *metrics)],
+                dtype=object,
+            )
         grid_rows, beta = np.divmod(points, betas.size)
         starts = np.flatnonzero(np.diff(grid_rows, prepend=-1))
         subs = np.unravel_index(grid_rows[starts], shape)
@@ -374,7 +378,7 @@ def _search_blocks(axes, pieces):
         flat = [""] * (3 * hits.size)
         flat[0::3] = prefixes.tolist()
         flat[1::3] = betas[beta].tolist()
-        flat[2::3] = np.array(tails, dtype=object)[inverse].tolist()
+        flat[2::3] = tails[hits].tolist()
         yield "".join(flat), hits.size
 
 

@@ -16,7 +16,8 @@ After n steps the pair can only sit at sites 2k - n, where k counts the
 up moves, so amplitudes are stored by k in n + 1 slots.  One generator,
 `_padded_walk`, steps a batch of walks, each step into the next row of a
 block of steps zero-padded to a width set by the step alone; the metric
-paths collapse those rows, and `walk_batch`, the public engine, yields
+paths collapse those rows (`_collapse_padded`), and `walk_batch`, the
+public engine, yields
 their first n + 1 slots.  `iter_steps` and `evolve` run it as a batch of
 one on complex U and V.  Every step, there and in `step`, is one
 routine, `_advance`, which works through preallocated scratch, so a
@@ -455,6 +456,7 @@ def _advance(src: np.ndarray, dst: np.ndarray, n: int, mixes, scratch) -> None:
 #: every step's rows are zero-padded to the next multiple of this width;
 #: the rounding of a collapse's P and E sums depends on the row width
 #: alone, so a step collapses to the same bits in any block or batch
+#: (`_collapse_padded` cuts the padding only where the bits stay)
 _WIDTH = 32
 
 #: amplitudes per block of `_padded_walk` (steps x 2 x B x padded width),
@@ -605,6 +607,22 @@ def collapse_metrics(amps: np.ndarray) -> CollapseMetrics:
     terms *= weights
     e_bits = 0.0 - terms.sum(axis=-1)  # 0 - (-0) is +0, so no E is -0
     return CollapseMetrics(probability, n_terms, e_bits, normalized_ratio(e_bits, n_terms))
+
+
+#: numpy sums a row of at most this many slots in 8 interleaved partial
+#: sums, so zero padding to any multiple of 8 up to it sums to the same bits
+_PARTIALS = 128
+
+
+def _collapse_padded(amps: np.ndarray, n: int) -> CollapseMetrics:
+    """`collapse_metrics` of a padded row or block of `_padded_walk` whose
+    last step is n.  While its width is at most `_PARTIALS`, it collapses
+    only the least multiple of 8 slots that holds step n: the slots cut
+    are zero in every row, so P, N and E keep the bits of the padded width.
+    """
+    if amps.shape[-1] <= _PARTIALS:
+        amps = amps[..., : -(-(n + 1) // 8) * 8]
+    return collapse_metrics(amps)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ arrays.  Each measure depends only on r (`core.invariant`), so the helpers
 take one input, a (B, 2, 2) float64 stack of real coins of r
 (`core._real_coins`), never the complex U and V; the two walks give the
 same metrics to rounding.  Both collapse each step's rows of
-`core._padded_walk`, zero-padded to a width set by the step alone: the
-series a block of steps per call, the average a step as it comes.  So
+`core._padded_walk`, zero-padded to a width set by the step alone, through
+`core._collapse_padded`: the series a block of steps per call, the
+average a step as it comes.  So
 a walk's values do not depend on its batch or block, and the average
 is the mean of the series, summed step by step, to the bit.
 """
@@ -28,6 +29,7 @@ from .core import (
     CollapseMetrics,
     ShiftOperator,
     Spin,
+    _collapse_padded,
     _padded_walk,
     _real_coins,
     collapse_metrics,
@@ -113,7 +115,7 @@ def _metric_series(coins, n_steps: int) -> CollapseMetrics:
     to the bit alone, in any batch and at any block size, and equal the
     values `_averaged` and the searches collapse.  n_steps >= 1."""
     walk = _padded_walk(coins, None, n_steps)
-    blocks = (collapse_metrics(block) for _, _, block in walk if block is not None)
+    blocks = (_collapse_padded(block, n) for n, _, block in walk if block is not None)
     return CollapseMetrics(*map(np.concatenate, zip(*blocks)))
 
 
@@ -144,7 +146,7 @@ def _averaged(coins, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
         keep = None
         if a < 2:  # one step leaves one term and is left out of the average
             continue
-        metrics = collapse_metrics(row)
+        metrics = _collapse_padded(row, a)
         total += metrics.normalized
         np.minimum(min_p, metrics.probability, out=min_p)
         last_n = metrics.term_count

@@ -15,7 +15,7 @@ turns the same pieces into CSV text.  The scan cuts the product into
 chunks of consecutive points, sized so memory stays bounded, and builds
 each chunk's real coins of r (`core.invariant`): every metric depends on
 r alone.  The reducer evolves the chunk through the one stepping
-generator in `core` (`_padded_walk` in float64, with `collapse_metrics`)
+generator in `core` (`_padded_walk` in float64, with `_collapse_padded`)
 into rows or hits; the two hit reducers run one walk per distinct real
 coin of a chunk (`_distinct_coins`) and give its hits to each entry with
 that coin (`_to_walks`).  Sweep rows index the per-step series and the
@@ -23,7 +23,9 @@ average of `entanglement` (`_metric_series`, `_averaged`), the same
 code the single-walk functions run; the averaged grid search runs that
 average too and drops, between steps, the walks that can no longer
 become hits.  Every path collapses a step's rows zero-padded to the
-same width, so rows and hits carry the bits of the walk's series.
+same width, or cut to a multiple of 8 slots that sums to the same bits
+(`core._collapse_padded`), so rows and hits carry the bits of the
+walk's series.
 Grid-search chunks can also go to worker processes; chunk boundaries
 depend only on the grid, never on the worker count, so output order and
 content are identical for any parallelism.
@@ -43,10 +45,10 @@ from .core import (
     CoinOperator,
     Spin,
     _checked,
+    _collapse_padded,
     _domain,
     _padded_walk,
     _real_coins,
-    collapse_metrics,
     hadamard_coin,
     kempe_coin,
     z_coin,
@@ -253,8 +255,11 @@ _SPINS = tuple(sorted(Spin, key=lambda spin: spin.row))
 
 
 #: points per fan-out chunk, and about the hits per piece it is cut into;
-#: a search holds one piece's row texts at a time, so this bounds its memory
-_PIECE = 1 << 16
+#: a search holds one piece's row texts at a time, so this bounds its memory.
+#: At 2^14 a piece's index arrays, row texts and their join are small
+#: enough for the allocator to reuse from piece to piece instead of
+#: faulting in fresh pages
+_PIECE = 1 << 14
 
 
 def _auto_chunk(n_steps: int) -> int:
@@ -368,7 +373,7 @@ def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
     for n, _, block in _padded_walk(coins, None, n_steps):
         if block is None or n < 2:  # a block of step 1 alone: one term, never entangled
             continue
-        metrics = collapse_metrics(block)
+        metrics = _collapse_padded(block, n)
         hit = (metrics.normalized > 1.0 - maximal_atol) & (metrics.probability > p_threshold)
         steps, rows, walks = np.nonzero(hit)
         found.append((
@@ -413,7 +418,10 @@ def _fan_out(axes, key, n_keys, scan) -> Iterator:
     axis and a (1, n_beta) row of beta_arg indices, which it broadcasts.
     Points go in chunks of whole beta_arg rows, at most
     max(`_PIECE`, n_beta) points, each cut into pieces of about `_PIECE`
-    hits; with no hit at all no point is visited."""
+    hits; with no hit at all no point is visited.  Only the key-hit
+    columns are whole: a piece's own arrays are sized by its points and
+    hits, so a consumer that formats each key hit once does a piece's
+    work in its own rows."""
     found = [(start + walks, *rest) for start, (walks, *rest) in scan]
     if not any(walks.size for walks, *_ in found):
         return

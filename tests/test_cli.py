@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import zip_longest
 from pathlib import Path
 
@@ -821,16 +822,37 @@ class TestSearchBytes:
         assert any(a & b for a, b in zip(used, used[1:]))  # a key hit in two pieces
         self.assert_bytes(capsys, ["--grid", "0.6", "--steps", "10", "--workers", "1"], hits)
 
-    @pytest.mark.parametrize("mode", ["isolated", "averaged"])
-    def test_piece_size_does_not_change_bytes(self, capsys, monkeypatch, mode):
+    @pytest.mark.parametrize("argv", [
         # 11 beta_arg values a grid row: chunks of one row, of 4 rows, and the whole grid
-        argv = ["--mode", mode, "--grid", "0.6", "--steps", "30", "--p-min", "0.05",
-                "--avg-min", "0.5", "--workers", "1"]
-        whole = run(capsys, "search", *argv)
+        pytest.param(["--mode", "isolated", "--grid", "0.6", "--steps", "30", "--p-min", "0.05"],
+                     id="isolated"),
+        pytest.param(["--mode", "averaged", "--grid", "0.6", "--steps", "30", "--p-min", "0.05",
+                      "--avg-min", "0.5"], id="averaged"),
+        # 59,033 rows: several pieces of the default 2^14 hits
+        pytest.param(["--mode", "isolated", "--grid", "0.3", "--steps", "10"],
+                     id="isolated-default-pieces"),
+    ])
+    def test_piece_size_does_not_change_bytes(self, capsys, monkeypatch, argv):
+        default = sweep._PIECE
+        monkeypatch.setattr(sweep, "_PIECE", 1 << 16)
+        whole = run(capsys, "search", *argv, "--workers", "1")
         assert len(body(whole[1]).splitlines()) > 1000
-        for piece in (7, 50):
+        for piece in (7, 50, default):
             monkeypatch.setattr(sweep, "_PIECE", piece)
-            assert run(capsys, "search", *argv) == whole
+            assert run(capsys, "search", *argv, "--workers", "1") == whole
+
+    def test_a_search_holds_a_piece_of_text_at_a_time(self, tmp_path):
+        # 59,033 rows, about 4.5 MB of text: a writer that held them all would trace more
+        argv = ["search", "--mode", "isolated", "--grid", "0.3", "--steps", "10", "--workers", "1",
+                "--out", str(tmp_path / "hits.csv")]
+        assert main(argv) == 0  # warm-up: the parser and first-call set-up
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestEvolveBytes:

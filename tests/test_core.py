@@ -391,6 +391,23 @@ class TestCollapseBits:
             for got, want in zip(collapse_metrics(amps), reference_collapse(amps)):
                 assert np.array_equal(got, want)
 
+    def test_eight_slot_padding_gives_the_bits_of_thirty_two(self):
+        """numpy sums a row of at most 128 slots in 8 interleaved partial
+        sums, so `core._collapse_padded` may cut a row's zero padding to a
+        multiple of 8 slots there."""
+        rng = np.random.default_rng(128)
+        for length in range(1, 129):
+            amps = rng.standard_normal((40, length))
+            amps[rng.random(amps.shape) < 0.3] = 0.0  # exact zeros
+            amps[rng.random(amps.shape) < 0.1] *= 1e-160  # subnormal weights
+            amps[-1] = 0.0  # a row of P = 0
+            narrow, wide = (np.zeros((40, -(-length // w) * w)) for w in (8, 32))
+            narrow[:, :length] = wide[:, :length] = amps
+            for got, want in zip(collapse_metrics(narrow), collapse_metrics(wide)):
+                assert got.dtype == want.dtype
+                # every bit, zero signs included
+                assert got.tobytes() == want.tobytes(), f"{length} slots"
+
 
 class TestLongWalks:
     def test_norm_drift_over_1000_steps(self):
