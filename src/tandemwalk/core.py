@@ -15,11 +15,11 @@ amplitudes carry the walker-walker entanglement.
 After n steps the pair can only sit at sites 2k - n, where k counts the
 up moves, so amplitudes are stored by k in n + 1 slots.  One generator,
 `_padded_walk`, steps a batch of walks, each step into the next row of a
-block of steps zero-padded to a width set by the step alone; the metric
-paths collapse those rows (`_collapse_padded`), and `walk_batch`, the
-public engine, yields
-their first n + 1 slots.  `iter_steps` and `evolve` run it as a batch of
-one on complex U and V.  Every step, there and in `step`, is one
+block of steps zero-padded to a width set by the step alone.  The metric
+paths collapse its finished blocks through one block loop,
+`_collapsed_blocks`, and `walk_batch`, the public engine, yields the
+first n + 1 slots of its rows.  `iter_steps` and `evolve` run it as a
+batch of one on complex U and V.  Every step, there and in `step`, is one
 routine, `_advance`, which works through preallocated scratch, so a
 step allocates and copies nothing.
 Every metric depends only on r = |W00| of W = V U (`invariant`), so the
@@ -456,7 +456,7 @@ def _advance(src: np.ndarray, dst: np.ndarray, n: int, mixes, scratch) -> None:
 #: every step's rows are zero-padded to the next multiple of this width;
 #: the rounding of a collapse's P and E sums depends on the row width
 #: alone, so a step collapses to the same bits in any block or batch
-#: (`_collapse_padded` cuts the padding only where the bits stay)
+#: (`_collapsed_blocks` cuts the padding only where the bits stay)
 _WIDTH = 32
 
 #: amplitudes per block of `_padded_walk` (steps x 2 x B x padded width),
@@ -614,15 +614,26 @@ def collapse_metrics(amps: np.ndarray) -> CollapseMetrics:
 _PARTIALS = 128
 
 
-def _collapse_padded(amps: np.ndarray, n: int) -> CollapseMetrics:
-    """`collapse_metrics` of a padded row or block of `_padded_walk` whose
-    last step is n.  While its width is at most `_PARTIALS`, it collapses
-    only the least multiple of 8 slots that holds step n: the slots cut
-    are zero in every row, so P, N and E keep the bits of the padded width.
+def _collapsed_blocks(coins: np.ndarray, n_steps: int):
+    """The one block loop of the metric paths: walk the real coin stack
+    `coins` through `_padded_walk` and yield (n, metrics) per finished
+    block, its `collapse_metrics`, each field a (steps, 2, B) array
+    whose last row is step n.
+
+    While a block is at most `_PARTIALS` slots wide, only the least
+    multiple of 8 slots that holds step n collapses: the slots cut are
+    zero in every row, so P, N and E keep the bits of the padded width.
+    A (B,) boolean mask sent after a block goes on to `_padded_walk`,
+    so the later blocks hold the kept walks alone.
     """
-    if amps.shape[-1] <= _PARTIALS:
-        amps = amps[..., : -(-(n + 1) // 8) * 8]
-    return collapse_metrics(amps)
+    walk, keep = _padded_walk(coins, None, n_steps), None
+    for _ in range(n_steps):
+        n, _, block = walk.send(keep)
+        keep = None
+        if block is not None:
+            if block.shape[-1] <= _PARTIALS:
+                block = block[..., : -(-(n + 1) // 8) * 8]
+            keep = yield n, collapse_metrics(block)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ functions run a batch of one, and `sweep` and the CLI index the same
 arrays.  Each measure depends only on r (`core.invariant`), so the helpers
 take one input, a (B, 2, 2) float64 stack of real coins of r
 (`core._real_coins`), never the complex U and V; the two walks give the
-same metrics to rounding.  Both collapse each step's rows of
-`core._padded_walk`, zero-padded to a width set by the step alone, through
-`core._collapse_padded`: the series a block of steps per call, the
-average a step as it comes.  So
-a walk's values do not depend on its batch or block, and the average
-is the mean of the series, summed step by step, to the bit.
+same metrics to rounding.  Both collapse the rows of `core._padded_walk`,
+zero-padded to a width set by the step alone, a finished block of steps
+per call, through the one block loop `core._collapsed_blocks`: the series
+stacks the blocks, and the average adds each block's rows in step order
+and drops dead walks at the block's end.  So a walk's values do not
+depend on its batch or block, and the average is the mean of the
+series, summed step by step, to the bit.
 """
 
 import numpy as np
@@ -29,8 +30,7 @@ from .core import (
     CollapseMetrics,
     ShiftOperator,
     Spin,
-    _collapse_padded,
-    _padded_walk,
+    _collapsed_blocks,
     _real_coins,
     collapse_metrics,
 )
@@ -110,12 +110,12 @@ def _metric_series(coins, n_steps: int) -> CollapseMetrics:
     the real coin stack `coins`, each field stacked into an
     (n_steps, 2, B) array indexed by step - 1, `Spin.row`, then walk.
 
-    Steps collapse a finished `core._padded_walk` block at a time, each
-    row zero-padded to its width class, so a walk's values are the same
-    to the bit alone, in any batch and at any block size, and equal the
-    values `_averaged` and the searches collapse.  n_steps >= 1."""
-    walk = _padded_walk(coins, None, n_steps)
-    blocks = (_collapse_padded(block, n) for n, _, block in walk if block is not None)
+    Steps collapse a finished `core._padded_walk` block at a time
+    (`core._collapsed_blocks`), each row zero-padded to its width class,
+    so a walk's values are the same to the bit alone, in any batch and
+    at any block size, and equal the values `_averaged` and the searches
+    collapse.  n_steps >= 1."""
+    blocks = (metrics for _, metrics in _collapsed_blocks(coins, n_steps))
     return CollapseMetrics(*map(np.concatenate, zip(*blocks)))
 
 
@@ -127,30 +127,35 @@ def _averaged(coins, n_steps, p_threshold=-np.inf, avg_threshold=-np.inf):
 
     Returns (walks, mean, min_p, last_n): the indices of those walks in
     the batch, ascending, then one (2, len(walks)) array each by
-    `Spin.row`.  From step 2 on, a (walk, spin) row is dead once its
-    least P is at most p_threshold, or once its mean could not exceed
-    avg_threshold even if every remaining step reached the cap 1 of
-    `normalized_ratio`.  A walk whose rows are both dead leaves the
-    batch, so the later steps only pay for the others; their numbers
-    are the same as in a batch that dropped nothing.  The defaults drop
-    no walk.  Each step collapses its padded row of `core._padded_walk`,
-    as `_metric_series` does, and the steps add up in order.
+    `Spin.row`.  The steps collapse a finished block of
+    `core._collapsed_blocks` at a time, as `_metric_series` does, and
+    each block's rows add up in step order.  At the end of a block, a
+    (walk, spin) row is dead once its least P is at most p_threshold, or
+    once its mean could not exceed avg_threshold even if every remaining
+    step reached the cap 1 of `normalized_ratio`.  A walk whose rows are
+    both dead leaves the batch at the end of the block it dies in, so
+    the later blocks only pay for the others; their numbers are the same
+    as in a batch that dropped nothing.  The defaults drop no walk.
     """
     walks = np.arange(coins.shape[0])
     total, min_p = np.zeros((2, walks.size)), np.ones((2, walks.size))
     # the slack keeps summation rounding from dropping a mean just above avg_threshold
     floor = avg_threshold * (n_steps - 1) - 1e-9
-    steps, keep = _padded_walk(coins, None, n_steps), None
-    for a in range(1, n_steps + 1):
-        _, row, _ = steps.send(keep)
+    blocks, keep, n = _collapsed_blocks(coins, n_steps), None, 0
+    while n < n_steps:
+        n, metrics = blocks.send(keep)
         keep = None
-        if a < 2:  # one step leaves one term and is left out of the average
+        if n < 2:  # a block of step 1 alone
             continue
-        metrics = _collapse_padded(row, a)
-        total += metrics.normalized
-        np.minimum(min_p, metrics.probability, out=min_p)
-        last_n = metrics.term_count
-        live = ((min_p > p_threshold) & (total + (n_steps - a) > floor)).any(axis=0)
+        # the block's rows from step 2 on: step 1 leaves one term and is left
+        # out of the average
+        later = slice(max(0, 2 - (n + 1 - len(metrics.normalized))), None)
+        rows = zip(metrics.normalized[later], metrics.probability[later])
+        for normalized, probability in rows:
+            total += normalized
+            np.minimum(min_p, probability, out=min_p)
+        last_n = metrics.term_count[-1]
+        live = ((min_p > p_threshold) & (total + (n_steps - n) > floor)).any(axis=0)
         if not live.all():
             keep = live
             walks, total, min_p = walks[keep], total[:, keep], min_p[:, keep]

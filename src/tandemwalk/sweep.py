@@ -15,17 +15,18 @@ turns the same pieces into CSV text.  The scan cuts the product into
 chunks of consecutive points, sized so memory stays bounded, and builds
 each chunk's real coins of r (`core.invariant`): every metric depends on
 r alone.  The reducer evolves the chunk through the one stepping
-generator in `core` (`_padded_walk` in float64, with `_collapse_padded`)
-into rows or hits; the two hit reducers run one walk per distinct real
-coin of a chunk (`_distinct_coins`) and give its hits to each entry with
-that coin (`_to_walks`).  Sweep rows index the per-step series and the
-average of `entanglement` (`_metric_series`, `_averaged`), the same
-code the single-walk functions run; the averaged grid search runs that
-average too and drops, between steps, the walks that can no longer
+generator in `core` (`_padded_walk` in float64), whose finished blocks
+one block loop collapses (`core._collapsed_blocks`), into rows or hits;
+the two hit reducers run one walk per distinct real coin of a chunk
+(`_distinct_coins`) and give its hits to each entry with that coin
+(`_to_walks`).  Sweep rows index the per-step series and the average
+of `entanglement` (`_metric_series`, `_averaged`), the same code the
+single-walk functions run; the averaged grid search runs that average
+too and drops, at the end of each block, the walks that can no longer
 become hits.  Every path collapses a step's rows zero-padded to the
-same width, or cut to a multiple of 8 slots that sums to the same bits
-(`core._collapse_padded`), so rows and hits carry the bits of the
-walk's series.
+same width, or cut to a multiple of 8 slots that sums to the same bits,
+in that one block loop, so rows and hits carry the bits of the walk's
+series.
 Grid-search chunks can also go to worker processes; chunk boundaries
 depend only on the grid, never on the worker count, so output order and
 content are identical for any parallelism.
@@ -45,9 +46,8 @@ from .core import (
     CoinOperator,
     Spin,
     _checked,
-    _collapse_padded,
+    _collapsed_blocks,
     _domain,
-    _padded_walk,
     _real_coins,
     hadamard_coin,
     kempe_coin,
@@ -364,21 +364,20 @@ def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
     (walk, step, spin) whose collapse is maximally entangled with
     probability above p_threshold, by walk, then step, then up before
     down.  Each distinct coin walks once (`_distinct_coins`), and its
-    steps collapse a finished `core._padded_walk` block at a time, as
-    the per-step series does.
+    steps collapse a finished block at a time through
+    `core._collapsed_blocks`, as the per-step series does.
     """
     coins, inverse = _distinct_coins(coins)
     empty = np.zeros(0, dtype=np.int64)
     found = [(empty, empty, empty, np.zeros(0), np.zeros(0), empty)]
-    for n, _, block in _padded_walk(coins, None, n_steps):
-        if block is None or n < 2:  # a block of step 1 alone: one term, never entangled
+    for n, metrics in _collapsed_blocks(coins, n_steps):
+        if n < 2:  # a block of step 1 alone: one term, never entangled
             continue
-        metrics = _collapse_padded(block, n)
         hit = (metrics.normalized > 1.0 - maximal_atol) & (metrics.probability > p_threshold)
         steps, rows, walks = np.nonzero(hit)
         found.append((
             walks,
-            steps + (n + 1 - len(block)),
+            steps + (n + 1 - len(hit)),
             rows,
             metrics.normalized[hit],
             metrics.probability[hit],

@@ -393,8 +393,8 @@ class TestCollapseBits:
 
     def test_eight_slot_padding_gives_the_bits_of_thirty_two(self):
         """numpy sums a row of at most 128 slots in 8 interleaved partial
-        sums, so `core._collapse_padded` may cut a row's zero padding to a
-        multiple of 8 slots there."""
+        sums, so `core._collapsed_blocks` may cut a block's zero padding to
+        a multiple of 8 slots there."""
         rng = np.random.default_rng(128)
         for length in range(1, 129):
             amps = rng.standard_normal((40, length))

@@ -27,7 +27,7 @@ from tandemwalk import (
 import tandemwalk.core as core
 import tandemwalk.sweep as sweep
 from tandemwalk.core import _padded_walk, _real_coins, collapse_metrics, walk_batch
-from tandemwalk.entanglement import _metric_series
+from tandemwalk.entanglement import _averaged, _metric_series
 from tandemwalk.sweep import PARAM_RANGES
 
 # -(0.8 log2 0.8 + 0.2 log2 0.2), evaluated directly from the formula
@@ -276,6 +276,19 @@ def _padded_blocks(coins, n):
     return (block for _, _, block in _padded_walk(coins, None, n) if block is not None)
 
 
+def _collapsed_shapes(monkeypatch):
+    """A list that grows by the shape of each array `core.collapse_metrics`
+    collapses from now on."""
+    shapes = []
+
+    def spy(amps, collapse=core.collapse_metrics):
+        shapes.append(amps.shape)
+        return collapse(amps)
+
+    monkeypatch.setattr(core, "collapse_metrics", spy)
+    return shapes
+
+
 def _padded_steps(coins, n):
     """`collapse_metrics` of each step of `walk_batch`, its rows zero-padded
     to the step's `_WIDTH` class, stacked as `_metric_series` stacks them."""
@@ -328,7 +341,25 @@ class TestBlockedSeries:
                  (_walks(_ONE_STEP_WALKS, seed=4), 40)]
         default = [_metric_series(coins, n) for coins, n in cases]
         assert all(len(block) == 1 for block in _padded_blocks(*cases[-1]))
-        monkeypatch.setattr(core, "_BLOCK", 1)
+        # the average, which drops dead walks at block ends: the last two cases'
+        # thresholds drop walks, the last one's inside the blocks of larger budgets
+        averaged_cases = [(coins, n, -np.inf, -np.inf) for coins, n in cases]
+        averaged_cases += [(_walks(20, seed=n), n, 0.15, 0.75) for n in (33, 200)]
+        shapes = _collapsed_shapes(monkeypatch)
+        budgets, averages, ends = (core._BLOCK, 1 << 18, 1), {}, {}
+        for budget in budgets:
+            monkeypatch.setattr(core, "_BLOCK", budget)
+            averages[budget] = [_averaged(*case) for case in averaged_cases]
+            shapes.clear()
+            _averaged(*averaged_cases[-1])
+            ends[budget] = np.cumsum([shape[0] for shape in shapes])
+        # budget 1, the last, makes every step a block: the steps after which walks died
+        died = ends[1][:-1][np.diff([shape[2] for shape in shapes]) < 0]
+        assert died.size and not any(np.isin(died, ends[budget]).all() for budget in budgets[:2])
+        assert all(0 < walks.size < 23 for walks, *_ in averages[1][-2:])  # of 23 walks
+        for budget in budgets[:2]:
+            for got, per_step in zip(averages[budget], averages[1]):
+                assert all(np.array_equal(a, b) for a, b in zip(got, per_step))
         for (coins, n), series in zip(cases, default):
             assert all(len(block) == 1 for block in _padded_blocks(coins, n))
             single = _metric_series(coins, n)
@@ -337,6 +368,12 @@ class TestBlockedSeries:
             for field, one, own in zip(series, single, steps):
                 assert np.array_equal(field, one)
                 assert np.array_equal(field, own)
+
+    def test_average_collapses_a_block_per_call(self, monkeypatch):
+        coins, calls = _walks(1, seed=5)[:1], _collapsed_shapes(monkeypatch)
+        _averaged(coins, 200)
+        # one call per finished block of `_padded_walk`, not one per step (199)
+        assert len(calls) == len(list(_padded_blocks(coins, 200))) == 7
 
     def test_blocks_are_padded_width_classes_within_the_budget(self):
         coins = _walks(1, seed=1)
