@@ -7,10 +7,10 @@ on the worker count.  Every field is the `str` of its value, and `_emit`
 writes rows a block of text at a time: a row per block for sweeps, one
 block for a walk, whose rows join the texts of its series' columns, made
 a column at a time, and a fan-out piece per block for searches, whose
-axis values and key hits are each formatted once per search.  A search
+axis values and coin hits are each formatted once per search.  A search
 row joins three texts: the `rho,theta,eta,alpha,` prefix, made once for
 the run of rows of one beta_arg row of the grid, its beta_arg and its
-key hit.  A piece's work is proportional to its own rows, and its
+coin hit.  A piece's work is proportional to its own rows, and its
 buffers stay small enough to be reused from piece to piece.
 """
 
@@ -351,12 +351,12 @@ def cmd_sweep(args) -> int:
 
 def _search_blocks(axes, pieces):
     """One block per search piece.  Each axis value, and on the first
-    piece each key hit (every piece carries the whole key-hit columns),
+    piece each coin hit (every piece carries the whole coin-hit columns),
     is formatted once per search as the `str` of the value a
     `MaxEntanglementHit` holds, so a piece only indexes texts by its own
     rows.  Consecutive rows of one beta_arg row of the grid share one
     `rho,theta,eta,alpha,` prefix, made once per such group, and one join
-    of prefix, beta_arg and key-hit texts makes the piece's rows."""
+    of prefix, beta_arg and coin-hit texts makes the piece's rows."""
     *heads, betas = (
         np.array([str(x) + "," for x in axis.tolist()], dtype=object) for axis in axes
     )

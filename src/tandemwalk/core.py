@@ -14,14 +14,14 @@ amplitudes carry the walker-walker entanglement.
 
 After n steps the pair can only sit at sites 2k - n, where k counts the
 up moves, so amplitudes are stored by k in n + 1 slots.  One generator,
-`_padded_walk`, steps a batch of walks, each step into the next row of a
-block of steps zero-padded to a width set by the step alone.  The metric
-paths collapse its finished blocks through one block loop,
-`_collapsed_blocks`, and `walk_batch`, the public engine, yields the
-first n + 1 slots of its rows.  `iter_steps` and `evolve` run it as a
-batch of one on complex U and V.  Every step, there and in `step`, is one
-routine, `_advance`, which works through preallocated scratch, so a
-step allocates and copies nothing.
+`_padded_walk`, steps a batch of walks into blocks of steps, each row
+zero-padded to a width set by the step alone, and hands out finished
+blocks.  The metric paths collapse them through one block loop,
+`_collapsed_blocks`; `walk_batch`, the public engine, is a view of their
+rows, and `iter_steps` and `evolve` run it as a batch of one on complex
+U and V.  Every step, there and in `step`, is one routine, `_advance`,
+which works through preallocated scratch, so a step allocates and
+copies nothing.
 Every metric depends only on r = |W00| of W = V U (`invariant`), so the
 metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
 (|W00|, |W01|) instead, one float64 mix per step: the metric helpers of
@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from dataclasses import dataclass
 from enum import Enum
-from typing import Generator, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "TERM_THRESHOLD",
@@ -468,18 +468,18 @@ _BLOCK = 1 << 14
 
 def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
     """Step the walks of `walk_batch(u, v, n_steps)`, the one stepping
-    generator, and yield (n, row, block) after each step n.
+    generator, and yield (n, block) once per finished block: the
+    (steps, 2, B, w) amplitudes of consecutive steps ending at step n, at
+    most `_BLOCK` amplitudes or one step, each row zero-padded to w = the
+    next multiple of `_WIDTH` above its step.
 
-    row is step n's (2, B, w) amplitudes, zero-padded to w = the next
-    multiple of `_WIDTH` above n.  block is None but on the last row of
-    a block, where it is the (steps, 2, B, w) block of consecutive steps
-    of one width, at most `_BLOCK` amplitudes or one step, that ends
-    there.  `_advance` writes each step straight into the next row of
-    its block, from the row before (a one-step block's row from itself),
-    so a block is overwritten by the next; collapse it before asking for
-    that.  Masks are sent as `walk_batch` takes them; one moves the kept
-    walks to the front of every row of the block so far, so a finished
-    block holds the kept walks alone.
+    `_advance` writes each step straight into the next row of its block,
+    from the row before (a one-step block's row from itself), so a block
+    is overwritten by the next; collapse it before asking for that.  A
+    (B,) boolean mask sent for the next block keeps those walks alone, in
+    their order, cut from the last row and the coins.  Every walk's
+    arithmetic is elementwise across the batch, so the kept walks' values
+    do not change by a bit.
     """
     stacks = [u] if v is None else [u, v]
     mixes, dtype, b = [_mixes(m) for m in stacks], np.result_type(*stacks), u.shape[0]
@@ -497,41 +497,30 @@ def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
             for row, n in enumerate(steps):
                 _advance(amps, written[row], n - 1, mixes, scratch)
                 amps = block[row]
-                keep = yield n, amps, block[: row + 1] if n == steps[-1] else None
-                if keep is not None:  # the kept walks move to the front, in place
-                    stacks = [m[keep] for m in stacks]
-                    mixes, b = [_mixes(m) for m in stacks], stacks[0].shape[0]
-                    block[: row + 1, :, :b] = block[: row + 1, :, keep]
-                    block, written = block[:, :, :b], written[:, :, :b]
-                    amps = block[row]
+            keep = yield steps[-1], block[: len(steps)]
+            if keep is not None:
+                stacks = [m[keep] for m in stacks]
+                mixes, b = [_mixes(m) for m in stacks], stacks[0].shape[0]
+                amps, block, written = amps[:, keep], block[:, :, :b], written[:, :, :b]
 
 
 def walk_batch(
     u: np.ndarray, v: np.ndarray | None, n_steps: int
-) -> Generator[tuple[int, np.ndarray], np.ndarray | None, None]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Evolve a batch of walks from |up> (x) |0,0>, the one evolution engine.
 
     u and v are (B, 2, 2) stacks of coin and shift matrices, walked in
     complex128.  With v None, u alone is the mix, and a float64 u such as
     `_real_coins` gives walks in float64.  Yields (n, amps) after each of
     steps 1..n_steps, where amps is a (2, B, n + 1) view: row `Spin.row`,
-    walk, then k = number of up moves.  It views the row of
-    `_padded_walk`, which steps the walks, so a later step overwrites it;
-    copy what you keep.
-
-    A consumer can drop walks between steps: `send` a (B,) boolean mask
-    of the walks to keep instead of calling `next`, and the later steps
-    evolve only those, in their order, so B shrinks to the mask's count.
-    A plain `for` loop sends None and keeps every walk.  Every walk's
-    arithmetic is elementwise across the batch, so dropping some walks
-    leaves every value of the others unchanged to the bit.
+    walk, then k = number of up moves.  It views a row of a block of
+    `_padded_walk`, which a later block overwrites; copy what you keep.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    walk, keep = _padded_walk(u, v, n_steps), None
-    for _ in range(n_steps):
-        n, row, _ = walk.send(keep)
-        keep = yield n, row[:, :, : n + 1]
+    for n, block in _padded_walk(u, v, n_steps):
+        for a, row in enumerate(block, start=n + 1 - len(block)):
+            yield a, row[:, :, : a + 1]
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
@@ -623,17 +612,14 @@ def _collapsed_blocks(coins: np.ndarray, n_steps: int):
     While a block is at most `_PARTIALS` slots wide, only the least
     multiple of 8 slots that holds step n collapses: the slots cut are
     zero in every row, so P, N and E keep the bits of the padded width.
-    A (B,) boolean mask sent after a block goes on to `_padded_walk`,
-    so the later blocks hold the kept walks alone.
+    A (B,) boolean mask sent after a block goes on to `_padded_walk`.
     """
-    walk, keep = _padded_walk(coins, None, n_steps), None
-    for _ in range(n_steps):
-        n, _, block = walk.send(keep)
-        keep = None
-        if block is not None:
-            if block.shape[-1] <= _PARTIALS:
-                block = block[..., : -(-(n + 1) // 8) * 8]
-            keep = yield n, collapse_metrics(block)
+    walk, keep, n = _padded_walk(coins, None, n_steps), None, 0
+    while n < n_steps:
+        n, block = walk.send(keep)
+        if block.shape[-1] <= _PARTIALS:
+            block = block[..., : -(-(n + 1) // 8) * 8]
+        keep = yield n, collapse_metrics(block)
 
 
 @dataclass(frozen=True)

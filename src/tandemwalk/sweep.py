@@ -2,40 +2,34 @@
 and per-coin catalogs of maximal-entanglement events.
 
 All three are one scan, `_scan`, over the product of parameter axes,
-plus a reducer.  A sweep is four one-value axes and the swept one, a
-catalog is the named coin's three values and its alpha and beta_arg
-grids.  A grid search scans one entry per key of its five `grid_axis`
-arrays: points with equal keys have equal metrics (`_key_walks`), and
-`_fan_out` hands each key's hits to its points in grid order, as flat
-point indices, a piece at a time; it keys the grid a block of whole
-beta_arg rows at a time, broadcasting one index column per leading axis
-against the row of beta_arg indices.  `grid_search` and `find_max_cases`
-turn the pieces of `_search` into `MaxEntanglementHit` tuples; the CLI
-turns the same pieces into CSV text.  The scan cuts the product into
-chunks of consecutive points, sized so memory stays bounded, and builds
-each chunk's real coins of r (`core.invariant`): every metric depends on
-r alone.  The reducer evolves the chunk through the one stepping
-generator in `core` (`_padded_walk` in float64), whose finished blocks
-one block loop collapses (`core._collapsed_blocks`), into rows or hits;
-the two hit reducers run one walk per distinct real coin of a chunk
-(`_distinct_coins`) and give its hits to each entry with that coin
-(`_to_walks`).  Sweep rows index the per-step series and the average
-of `entanglement` (`_metric_series`, `_averaged`), the same code the
-single-walk functions run; the averaged grid search runs that average
-too and drops, at the end of each block, the walks that can no longer
-become hits.  Every path collapses a step's rows zero-padded to the
-same width, or cut to a multiple of 8 slots that sums to the same bits,
-in that one block loop, so rows and hits carry the bits of the walk's
-series.
-Grid-search chunks can also go to worker processes; chunk boundaries
-depend only on the grid, never on the worker count, so output order and
-content are identical for any parallelism.
+plus a reducer.  The scan cuts the product into chunks of consecutive
+entries, sized so memory stays bounded, and builds each chunk's real
+coins of r (`core.invariant`): every metric depends on r alone.  The
+reducer evolves the chunk through the one stepping generator in `core`
+(`_padded_walk` in float64), whose finished blocks one block loop
+collapses (`core._collapsed_blocks`), into rows or hits, so rows and
+hits carry the bits of the walk's series.  A sweep is four one-value
+axes and the swept one; its rows index the per-step series and the
+average of `entanglement` (`_metric_series`, `_averaged`), the same code
+the single-walk functions run.
+A search has points, the keys of a grid (`_key_walks`: points with equal
+keys have equal metrics) or the points of a coin's catalog.  It maps
+each point to its distinct real coin once (`_distinct_coins`) and scans
+those coins alone, and `_fan_out` hands each coin's hits to its points
+in grid order, a piece at a time.  The averaged search drops, at the
+end of each block, the walks that can no longer become hits.
+`grid_search` and `find_max_cases` turn the pieces of `_search` into
+`MaxEntanglementHit` tuples; the CLI turns them into CSV text.  Search
+chunks can go to worker processes; chunk boundaries depend only on the
+grid, never on the worker count, so output order and content are
+identical for any parallelism.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain
+from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -50,6 +44,7 @@ from .core import (
     _domain,
     _real_coins,
     hadamard_coin,
+    invariant,
     kempe_coin,
     z_coin,
 )
@@ -108,16 +103,38 @@ def family_coin(
     return CoinOperator(rho=rho, theta=theta, eta=eta)
 
 
-def _axis(lo: float, hi: float, step: float, closed: bool) -> np.ndarray:
+def _below(lo: float, step: float, count: int, bound: float) -> int:
+    """How many of lo + step k, k = 0..count - 1, lie below bound.  They
+    ascend with k, so a bisection finds the cut without building them."""
+    k, top = 0, count
+    while k < top:
+        mid = (k + top) // 2
+        k, top = (mid + 1, top) if lo + step * mid < bound else (k, mid)
+    return k
+
+
+def _axis_size(lo: float, hi: float, closed: bool, step: float) -> int:
+    """len(_axis(lo, hi, closed, step)), counted without building the axis."""
+    return _below(lo, step, int(np.floor((hi - lo) / step + 1e-9)) + 1, hi - 1e-12) + closed
+
+
+def _axis(lo: float, hi: float, closed: bool, step: float) -> np.ndarray:
     """lo, lo + step, ... below hi, then hi itself if the range is closed.
 
     Values within 1e-12 of hi are dropped with those above it, so rounding
     never puts a point outside [lo, hi] or a near copy of hi beside hi.
     """
-    count = int(np.floor((hi - lo) / step + 1e-9))
-    values = lo + step * np.arange(count + 1)
-    values = values[values < hi - 1e-12]
+    values = lo + step * np.arange(_axis_size(lo, hi, False, step))
     return np.append(values, hi) if closed else values
+
+
+def _grid(name: str, step: float) -> tuple[float, float, bool, float]:
+    """(lo, hi, closed, step) of a grid over a parameter's full range, once
+    the step is checked."""
+    lo, hi, closed = _domain(name)
+    if not 0.0 < step < np.inf:  # NaN too
+        raise ValueError(f"grid step must be positive and finite, got {step}")
+    return lo, hi, closed, step
 
 
 def grid_axis(name: str, step: float) -> np.ndarray:
@@ -127,10 +144,7 @@ def grid_axis(name: str, step: float) -> np.ndarray:
     the step does not land on it); the periodic beta_arg range excludes
     2 pi, which is the same point as 0.
     """
-    lo, hi, closed = _domain(name)
-    if not 0.0 < step < np.inf:  # NaN too
-        raise ValueError(f"grid step must be positive and finite, got {step}")
-    return _axis(lo, hi, step, closed)
+    return _axis(*_grid(name, step))
 
 
 @dataclass(frozen=True)
@@ -143,8 +157,9 @@ class SweepSpec:
     as the operators would, checked and a beta_arg reduced mod 2 pi.  An
     alpha sweep always contains the exact balanced alpha when it lies
     inside [start, stop], because the averaged entanglement is
-    discontinuous there.  A spec holds at most 10^7 values, and a
-    per-step spec at most 2 x 10^7 rows (values x outcomes x n_steps).
+    discontinuous there.  A spec's range spans at most 10^7 grid steps,
+    and a per-step spec holds at most 2 x 10^7 rows (values x outcomes x
+    n_steps).
     """
 
     coin_family: CoinFamily
@@ -178,8 +193,7 @@ class SweepSpec:
         if self.n_steps < minimum:
             raise ValueError(f"n_steps must be at least {minimum}, got {self.n_steps}")
         if self.mode is SweepMode.PER_STEP:  # sweep_1d holds a row per value, outcome and step
-            values = int((self.stop - self.start) / self.step + 1e-9) + 1  # as _axis counts
-            rows = values * len(self.outcomes) * self.n_steps
+            rows = self._size() * len(self.outcomes) * self.n_steps
             if rows > 2 * 10**7:  # what the value bound allows an averaged sweep
                 raise ValueError(f"per-step sweep gives {rows:,} rows, more than 2 x 10^7")
         if unknown := self.fixed.keys() - PARAM_RANGES.keys():
@@ -187,14 +201,27 @@ class SweepSpec:
         fixed = {key: float(_checked(key, value)) for key, value in self.fixed.items()}
         object.__setattr__(self, "fixed", fixed)
 
+    def _grid(self) -> tuple[float, float, bool, float]:
+        """(lo, hi, closed, step) of the swept grid, as `values` describes it."""
+        _, hi, closed = PARAM_RANGES[self.swept]
+        return self.start, self.stop, closed or self.stop < hi - 1e-12, self.step
+
+    def _size(self) -> int:
+        """len(values()), counted without building them."""
+        lo, hi, _, step = grid = self._grid()
+        size = _axis_size(*grid)
+        if self.swept == "alpha" and lo <= BALANCED_ALPHA < hi:  # alpha's range is closed
+            k = _below(lo, step, size - 1, BALANCED_ALPHA)  # the grid values below it
+            size += k == size - 1 or lo + step * k != BALANCED_ALPHA
+        return size
+
     def values(self) -> np.ndarray:
         """Swept grid values in ascending order, every one in [start, stop].
 
         The grid ends exactly at stop, except where a beta_arg range
         reaches 2 pi, which is the same phase as 0 and is left out.
         """
-        _, hi, closed = PARAM_RANGES[self.swept]
-        values = _axis(self.start, self.stop, self.step, closed or self.stop < hi - 1e-12)
+        values = _axis(*self._grid())
         if self.swept == "alpha" and self.start <= BALANCED_ALPHA <= self.stop:
             values = np.union1d(values, BALANCED_ALPHA)
         return values
@@ -297,11 +324,16 @@ def _scan(axes, n_steps, reduce, *args, workers=1) -> Iterator:
         yield from map(_scan_chunk, tasks)
 
 
+def _points(axes, index) -> list[np.ndarray]:
+    """The five parameter columns of the points at flat indices `index` of `_scan`'s axes."""
+    subs = np.unravel_index(index, [len(axis) for axis in axes])
+    return [row for axis, sub in zip(axes, subs) for row in np.atleast_2d(axis[sub].T)]
+
+
 def _scan_chunk(task):
     """One chunk of `_scan`: its parameter columns, real coins, then the reducer."""
     axes, start, stop, n_steps, reduce, args = task
-    subs = np.unravel_index(np.arange(start, stop), [len(axis) for axis in axes])
-    params = [row for axis, sub in zip(axes, subs) for row in axis[sub].T.reshape(-1, sub.size)]
+    params = _points(axes, np.arange(start, stop))
     return start, reduce(params, _real_coins(*params), n_steps, *args)
 
 
@@ -329,47 +361,24 @@ def _per_step_rows(params, coins, n_steps, swept, outcomes) -> list[tuple]:
     return rows
 
 
-def _distinct_coins(coins):
-    """(distinct, inverse): the distinct real coins of a (B, 2, 2) stack,
-    by the bits of their (a, b) row, and the index into distinct of each
-    walk's coin.  Walks of equal coins have equal metrics, so the hit
-    reducers walk distinct alone."""
-    rows = coins[:, 0].copy().view(np.complex128)[:, 0]  # (a, b) as a + ib; a, b >= 0
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return coins[first], inverse
-
-
-def _runs(keys, counts, first):
-    """(owners, hits): each entry of keys, in order, takes the counts[key]
-    consecutive hits from first[key] on; owners are the entries'
-    positions in keys, hits the indices of their hits."""
-    n = counts[keys]
-    owners = np.repeat(np.arange(keys.size), n)
-    return owners, np.arange(owners.size) + np.repeat(first[keys] - (np.cumsum(n) - n), n)
-
-
-def _to_walks(columns, inverse):
-    """Hit columns (coin, step, row, normalized E, P, N) of the distinct
-    coins of `_distinct_coins`, by coin, then step, then up before down,
-    as the same columns of the chunk's walks, by walk, then step, then
-    up before down: each walk takes every hit of its coin."""
-    coin, *rest = columns
-    counts = np.bincount(coin, minlength=inverse.size)
-    walks, hits = _runs(inverse, counts, np.cumsum(counts) - counts)
-    return [walks, *(column[hits] for column in rest)]
+def _distinct_coins(axes):
+    """(first, inverse): the flat index into the product of `axes` of the
+    first point of each distinct real coin, by the bits of its (a, b) row,
+    and the index into first of each point's coin.  Points of equal coins
+    have equal metrics, so a search walks the points first alone."""
+    a, b = invariant(*_points(axes, np.arange(np.prod([len(axis) for axis in axes]))))
+    _, first, inverse = np.unique(a + 1j * b, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
     """Hit columns (walk, step, row, normalized E, P, N) of every
     (walk, step, spin) whose collapse is maximally entangled with
     probability above p_threshold, by walk, then step, then up before
-    down.  Each distinct coin walks once (`_distinct_coins`), and its
-    steps collapse a finished block at a time through
+    down.  The steps collapse a finished block at a time through
     `core._collapsed_blocks`, as the per-step series does.
     """
-    coins, inverse = _distinct_coins(coins)
-    empty = np.zeros(0, dtype=np.int64)
-    found = [(empty, empty, empty, np.zeros(0), np.zeros(0), empty)]
+    found = []  # n_steps >= 2, so some block reaches step 2
     for n, metrics in _collapsed_blocks(coins, n_steps):
         if n < 2:  # a block of step 1 alone: one term, never entangled
             continue
@@ -385,60 +394,64 @@ def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
         ))
     columns = [np.concatenate(column) for column in zip(*found)]
     order = np.lexsort(columns[2::-1])
-    return _to_walks([column[order] for column in columns], inverse)
+    return [column[order] for column in columns]
 
 
 def _averaged_hits(params, coins, n_steps, p_threshold, avg_threshold):
     """Hit columns, as `_isolated_hits` returns them, of every (walk, spin)
     whose mean normalized E exceeds avg_threshold with every P above
     p_threshold, by walk, then up before down; the hit carries the mean,
-    the least P and the last step's N.  Each distinct coin walks once
-    (`_distinct_coins`).
+    the least P and the last step's N.
     """
-    coins, inverse = _distinct_coins(coins)
     walks, mean, min_p, last_n = _averaged(coins, n_steps, p_threshold, avg_threshold)
     hit = (mean > avg_threshold) & (min_p > p_threshold)
     cols, rows = np.nonzero(hit.T)
-    return _to_walks((
+    return [
         walks[cols], np.full(cols.size, n_steps), rows,
         mean[rows, cols], min_p[rows, cols], last_n[rows, cols],
-    ), inverse)
+    ]
 
 
-def _fan_out(axes, key, n_keys, scan) -> Iterator:
-    """Yield `(points, hits, columns)` per piece of the grid `axes`: one
-    entry per point and hit of its key, in grid order.  points are the
-    entries' flat indices into the grid, hits index the key-hit columns
-    (step, spin row, normalized E, P, N), the whole arrays of which go
-    out with every piece.  scan is `_scan` over one entry per key with
-    `_isolated_hits` or `_averaged_hits`, which run one walk per
-    distinct real coin of a chunk, and key maps index arrays into
-    the axes to keys; a chunk's come as one (m, 1) column per leading
-    axis and a (1, n_beta) row of beta_arg indices, which it broadcasts.
-    Points go in chunks of whole beta_arg rows, at most
-    max(`_PIECE`, n_beta) points, each cut into pieces of about `_PIECE`
-    hits; with no hit at all no point is visited.  Only the key-hit
-    columns are whole: a piece's own arrays are sized by its points and
-    hits, so a consumer that formats each key hit once does a piece's
-    work in its own rows."""
+def _fan_out(axes, walk_axes, key, n_steps, reduce, *args, workers=1) -> Iterator:
+    """Yield `(points, hits, columns)` per piece of a search of the grid
+    `axes`: one entry per point and hit of its coin, in grid order.
+
+    walk_axes are `_scan` axes of one entry per key, and key maps index
+    arrays into `axes` to keys, broadcasting one (m, 1) column per
+    leading axis against a (1, n_beta) row of beta_arg indices.  Each
+    distinct real coin of the keys (`_distinct_coins`) walks once, in
+    `_scan` chunks of coins, with `reduce` and args.  points are flat
+    indices into the grid, and hits index the coin-hit columns (step,
+    spin row, normalized E, P, N), which go out whole with every piece;
+    a piece's own arrays are sized by its points and hits.  Points go in
+    chunks of whole beta_arg rows, at most max(`_PIECE`, n_beta) points,
+    each cut into pieces of about `_PIECE` hits; with no hit at all no
+    point is visited."""
+    walked, inverse = _distinct_coins(walk_axes)
+    coins = [np.column_stack(_points(walk_axes, walked))]  # one axis of five columns
+    scan = _scan(coins, n_steps, reduce, *args, workers=workers)
     found = [(start + walks, *rest) for start, (walks, *rest) in scan]
     if not any(walks.size for walks, *_ in found):
         return
-    keys, *columns = (np.concatenate(column) for column in zip(*found))
-    counts = np.bincount(keys, minlength=n_keys)
+    hit_coins, *columns = (np.concatenate(column) for column in zip(*found))
+    counts = np.bincount(hit_coins, minlength=walked.size)
     first = np.cumsum(counts) - counts
     *shape, n_beta = [axis.size for axis in axes]
     n_rows, chunk = int(np.prod(shape)), max(1, _PIECE // n_beta)
     beta = np.arange(n_beta)[None]
     for row in range(0, n_rows, chunk):
         heads = np.unravel_index(np.arange(row, min(row + chunk, n_rows)), shape)
-        point_keys = key([head[:, None] for head in heads] + [beta]).ravel()
-        ends = np.cumsum(counts[point_keys])
+        point_coins = inverse[key([head[:, None] for head in heads] + [beta])].ravel()
+        ends = np.cumsum(counts[point_coins])
         cuts = [0, *(np.flatnonzero(np.diff(ends // _PIECE)) + 1).tolist(), ends.size]
         start = row * n_beta
         for lo, hi in zip(cuts, cuts[1:]):
-            points, hits = _runs(point_keys[lo:hi], counts, first)
-            yield start + lo + points, hits, columns
+            # each point takes the counts[c] consecutive hits of its coin c from first[c] on
+            coin = point_coins[lo:hi]
+            n = counts[coin]
+            points = np.repeat(np.arange(lo, hi), n)
+            hits = np.arange(points.size) + np.repeat(first[coin] - (np.cumsum(n) - n), n)
+            yield start + points, hits, columns
 
 
 def _hits(axes, pieces) -> Iterator[MaxEntanglementHit]:
@@ -498,15 +511,15 @@ def grid_search(
     walk's arithmetic does not depend on which others share its batch,
     so the hits are the same, to the bit, as those of a full run.
 
-    The scan holds one entry per key (see `_key_walks`), runs one walk
-    per distinct real coin of a chunk of keys, and gives each walk's
-    hits to every point of the keys with that coin.  A hit's values are
+    Each distinct real coin of the grid's keys (see `_key_walks`) walks
+    once and gives its hits to every point of the keys with that coin.  A
+    hit's values are
     those of its walk's `walk_entanglement_series`, to the bit (the mean
     of its steps 2..n_steps for AVERAGED_HIGH); they can differ from a
     walk at the point itself in the last digit.  Hits stream in grid
     order (then step, then up before down).  The scan is chunked, so
     memory stays bounded for any grid size; chunks and workers count
-    keys: workers > 1 spreads chunks over up to that many processes (no
+    coins: workers > 1 spreads chunks over up to that many processes (no
     more than there are chunks; a single chunk starts no process).
     maximal_atol must lie in (0, 1).  Arguments are checked on the call,
     before the first hit is asked for.
@@ -563,9 +576,9 @@ def _search(
 
     The general coin scans the grid of step grid_step, one entry per key
     (`grid_search`); a named coin catalogs its alpha and beta_arg values,
-    every point its own key (`find_max_cases`).  Either way a chunk runs
-    one walk per distinct real coin.  Arguments are checked on the call;
-    the walks run when the first piece is asked for.
+    every point its own key (`find_max_cases`).  Either way each distinct
+    real coin walks once (`_fan_out`).  Arguments are checked on the
+    call; the dedup and the walks run when the first piece is asked for.
     """
     if coin_family is not CoinFamily.GENERAL and mode is not SearchMode.ISOLATED_MAX:
         raise ValueError("averaged search scans the general coin only")
@@ -582,31 +595,31 @@ def _search(
         if mode is SearchMode.AVERAGED_HIGH and not 0.0 <= avg_threshold < 1.0:
             # normalized E is capped at 1, so no mean can exceed a threshold of 1 or more
             raise ValueError(f"avg_threshold must lie in [0, 1), got {avg_threshold}")
-        axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
-        cells = axes[1].size * axes[2].size * axes[4].size
+        # sized before they are built: near step 1e-8 beta_arg alone would take gigabytes
+        cells = prod(_axis_size(*_grid(name, grid_step)) for name in ("theta", "eta", "beta_arg"))
         if cells > 10**7:  # _key_walks builds a table of this many index triples
             raise ValueError(
                 f"grid step {grid_step} gives {cells:,} (theta, eta, beta_arg) cells, "
                 "more than 10^7"
             )
-        if mode is SearchMode.ISOLATED_MAX:
-            reduce, args = _isolated_hits, (p_threshold, maximal_atol)
-        else:
-            reduce, args = _averaged_hits, (p_threshold, avg_threshold)
-        walk_axes, key, n_keys = _key_walks(axes)
-        scan = _scan(walk_axes, n_steps, reduce, *args, workers=workers or 1)
-        return axes, _fan_out(axes, key, n_keys, scan)
-    coin = family_coin(coin_family)
-    if alpha_values is None:
-        alpha_values = np.union1d(grid_axis("alpha", 0.1), BALANCED_ALPHA)
-    if beta_arg_values is None:
-        quarter = float(np.pi / 2)
-        extra = [quarter, 2 * quarter, 3 * quarter]
-        beta_arg_values = np.union1d(grid_axis("beta_arg", 0.1), extra)
-    alpha = np.unique(_checked("alpha", alpha_values))
-    beta_arg = np.unique(_checked("beta_arg", beta_arg_values))
-    axes = [np.array([x]) for x in (coin.rho, coin.theta, coin.eta)] + [alpha, beta_arg]
-    scan = _scan(axes, n_steps, _isolated_hits, p_threshold, maximal_atol)
-    shape = [axis.size for axis in axes]  # every point is its own key
-    key = partial(np.ravel_multi_index, dims=shape)
-    return axes, _fan_out(axes, key, int(np.prod(shape)), scan)
+        axes = [grid_axis(name, grid_step) for name in PARAM_RANGES]
+        walk_axes, key, _ = _key_walks(axes)
+    else:
+        coin = family_coin(coin_family)
+        if alpha_values is None:
+            alpha_values = np.union1d(grid_axis("alpha", 0.1), BALANCED_ALPHA)
+        if beta_arg_values is None:
+            quarter = float(np.pi / 2)
+            extra = [quarter, 2 * quarter, 3 * quarter]
+            beta_arg_values = np.union1d(grid_axis("beta_arg", 0.1), extra)
+        alpha = np.unique(_checked("alpha", alpha_values))
+        beta_arg = np.unique(_checked("beta_arg", beta_arg_values))
+        axes = [np.array([x]) for x in (coin.rho, coin.theta, coin.eta)] + [alpha, beta_arg]
+        walk_axes, workers = axes, None  # every point is its own key; a catalog runs in-process
+        key = partial(np.ravel_multi_index, dims=[axis.size for axis in axes])
+    if mode is SearchMode.ISOLATED_MAX:
+        reduce, args = _isolated_hits, (p_threshold, maximal_atol)
+    else:
+        reduce, args = _averaged_hits, (p_threshold, avg_threshold)
+    return axes, _fan_out(axes, walk_axes, key, n_steps, reduce, *args, workers=workers or 1)
+

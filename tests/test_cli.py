@@ -332,13 +332,14 @@ class TestSearch:
 
     def test_too_fine_a_grid_writes_nothing(self, capsys, tmp_path):
         out_path = tmp_path / "hits.csv"
-        start = time.perf_counter()
-        code, out, err = run(capsys, "search", "--grid", "0.005", "--steps", "2",
-                             "--out", str(out_path))
-        assert time.perf_counter() - start < 5  # rejected before any table is built
-        assert code == 2 and out == ""
-        assert err.startswith("error: grid step 0.005 gives ") and "10^7" in err
-        assert not out_path.exists()
+        for grid in ("0.005", "1e-12"):  # at 1e-12 no axis could be built
+            start = time.perf_counter()
+            code, out, err = run(capsys, "search", "--grid", grid, "--steps", "2",
+                                 "--out", str(out_path))
+            assert time.perf_counter() - start < 5  # rejected before any table is built
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: grid step {grid} gives ") and "10^7" in err
+            assert not out_path.exists()
 
     def test_isolated_coarse_grid(self, capsys):
         code, out, err = run(

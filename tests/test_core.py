@@ -550,49 +550,32 @@ class TestRealWalk:
 
 
 class TestWalkBatchMasks:
-    """A consumer of `walk_batch` can drop walks after any step by sending
-    a mask; the walks it keeps go on as if nothing had been dropped."""
-
-    @pytest.mark.parametrize("walks", [12, 600])  # 600 walks step one step per block
-    @pytest.mark.parametrize("real", [False, True])
-    def test_kept_walks_equal_an_unmasked_run_to_the_bit(self, walks, real):
-        params, u, v = TestRealWalk.stacks(walks, seed=walks)
-        if real:
-            u, v = _real_coins(*params), None
-        n = 40
-        full = [amps.copy() for _, amps in walk_batch(u, v, n)]
-        rng = np.random.default_rng(walks)
-        kept, keep, steps = np.arange(walks), None, walk_batch(u, v, n)
-        for a in range(1, n + 1):
-            got, amps = steps.send(keep)
-            assert got == a and amps.shape == (2, kept.size, a + 1)
-            assert amps.tobytes() == full[a - 1][:, kept].tobytes()
-            keep = None
-            if a in (5, 31, 32, 33):  # inside a block, at its last step, and past a width class
-                keep = rng.random(kept.size) < 0.7
-                kept = kept[keep]
-        assert 0 < kept.size < walks // 2
-        with pytest.raises(StopIteration):
-            next(steps)
+    """A consumer of the stepping generator behind `walk_batch` can drop
+    walks at the end of any block by sending a mask; the walks it keeps go
+    on as if nothing had been dropped."""
 
     def test_finished_blocks_hold_the_kept_walks(self):
-        params, _, _ = TestRealWalk.stacks(12, seed=3)
-        coins, n = _real_coins(*params), 70
-        full = [row.copy() for _, row, _ in _padded_walk(coins, None, n)]
-        rng = np.random.default_rng(3)
-        kept, keep, walk, blocks = np.arange(12), None, _padded_walk(coins, None, n), 0
-        for a in range(1, n + 1):
-            _, row, block = walk.send(keep)
-            assert row.tobytes() == full[a - 1][:, kept].tobytes()
-            if block is not None:  # its steps end at a
+        for walks in (12, 600):  # 600 walks step one step per block
+            params, _, _ = TestRealWalk.stacks(walks, seed=3)
+            coins, n = _real_coins(*params), 70
+            full = [amps.copy() for _, amps in walk_batch(coins, None, n)]
+            rng = np.random.default_rng(3)
+            kept, keep, blocks, a = np.arange(walks), None, 0, 0
+            walk = _padded_walk(coins, None, n)
+            while a < n:
+                a, block = walk.send(keep)
                 blocks += 1
+                assert block.shape[2] == kept.size
                 for step, got in enumerate(block, start=a + 1 - len(block)):
-                    assert got.tobytes() == full[step - 1][:, kept].tobytes()
-            keep = None
-            if a in (5, 31, 32, 40):  # inside a block, at its last step, and past a width class
-                keep = rng.random(kept.size) < 0.8
-                kept = kept[keep]
-        assert kept.size < 12 and blocks > 3
+                    assert got[:, :, : step + 1].tobytes() == full[step - 1][:, kept].tobytes()
+                    assert not got[:, :, step + 1 :].any()
+                keep = None
+                if blocks in (1, 2, 4) or a in (31, 33):  # inside, at and past a width class
+                    keep = rng.random(kept.size) < 0.8
+                    kept = kept[keep]
+            assert 0 < kept.size < walks and blocks > 3
+            with pytest.raises(StopIteration):
+                next(walk)
 
 
 class TestInitialState:

@@ -273,7 +273,7 @@ def _padded_blocks(coins, n):
     """The finished blocks of `_padded_walk`, which `_metric_series`
     collapses, at the `_BLOCK` it reads when called; each is overwritten
     by the next."""
-    return (block for _, _, block in _padded_walk(coins, None, n) if block is not None)
+    return (block for _, block in _padded_walk(coins, None, n))
 
 
 def _collapsed_shapes(monkeypatch):

@@ -147,7 +147,7 @@ class TestSweepSpec:
         per_step = {"mode": SweepMode.PER_STEP}
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="40,000,400 rows"):
+            with pytest.raises(ValueError, match="40,000,800 rows"):
                 SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-5, 200, **per_step)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -155,6 +155,23 @@ class TestSweepSpec:
         assert peak < 1 << 20
         SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-4, 200, **per_step)  # 4 x 10^6 rows
         SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-7, 200)  # averaged, 10^7 values
+
+    @pytest.mark.parametrize("swept, start, stop, step", [
+        ("rho", 0.0, 1.0, 0.25),  # stop on the grid
+        ("theta", 0.1, 3.0, 0.7),  # stop off the grid, appended
+        ("beta_arg", 0.0, 2 * np.pi, 0.7),  # open at 2 pi
+        ("alpha", 0.0, 1.0, 1 / 99999.5),  # stop and the balanced alpha appended
+        ("alpha", BALANCED_ALPHA, 1.0, 0.01),  # the balanced alpha on the grid
+    ])
+    def test_counted_size_is_the_value_count(self, swept, start, stop, step):
+        spec = SweepSpec(CoinFamily.GENERAL, swept, start, stop, step, 2)
+        assert spec._size() == len(spec.values())
+
+    def test_per_step_rows_count_every_value(self):
+        # 100,000 grid values below stop, then stop and the balanced alpha: 100,002 values
+        with pytest.raises(ValueError, match="20,000,400 rows"):
+            SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1 / 99999.5, 100,
+                      mode=SweepMode.PER_STEP)
 
     def test_beta_arg_range_ends_at_stop_unless_it_reaches_two_pi(self):
         partial = SweepSpec(CoinFamily.HADAMARD, "beta_arg", 0.0, 3.0, 0.7, 4).values()
@@ -282,7 +299,7 @@ class TestFanOutChunks:
             monkeypatch.setattr(sweep, "_PIECE", piece)
         axes = [grid_axis(name, grid) for name in PARAM_RANGES]
         shape = [axis.size for axis in axes]
-        walk_axes, key, n_keys = sweep._key_walks(axes)
+        walk_axes, key, _ = sweep._key_walks(axes)
         calls = []
 
         def recording(subs):
@@ -290,8 +307,9 @@ class TestFanOutChunks:
             calls.append((np.ravel_multi_index(subs, shape).ravel(), keys.ravel()))
             return keys
 
-        scan = sweep._scan(walk_axes, 10, sweep._isolated_hits, 0.15, sweep.MAXIMAL_ATOL)
-        pieces = sweep._fan_out(axes, recording, n_keys, scan)
+        pieces = sweep._fan_out(
+            axes, walk_axes, recording, 10, sweep._isolated_hits, 0.15, sweep.MAXIMAL_ATOL
+        )
         assert sum(points.size for points, _, _ in pieces) > 0
         n_beta, start = shape[-1], 0
         for points, keys in calls:
@@ -305,8 +323,8 @@ class TestFanOutChunks:
 
 
 class TestDistinctCoins:
-    """The hit reducers walk each distinct real coin of a chunk once and
-    hand its hits to every walk of the chunk with those coin bits."""
+    """A search walks each distinct real coin of its keys, or of its
+    catalog points, once and hands its hits to every point of that coin."""
 
     SEARCHES = {
         "averaged": lambda: list(grid_search(0.92, 200, SearchMode.AVERAGED_HIGH, avg_threshold=0.75)),
@@ -316,12 +334,16 @@ class TestDistinctCoins:
 
     @staticmethod
     def walk_every_coin(monkeypatch):
-        monkeypatch.setattr(sweep, "_distinct_coins", lambda coins: (coins, np.arange(len(coins))))
+        def every_point(axes):
+            index = np.arange(np.prod([len(axis) for axis in axes]))
+            return index, index
+
+        monkeypatch.setattr(sweep, "_distinct_coins", every_point)
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("search", list(SEARCHES))
     def test_hits_equal_a_walk_per_coin(self, monkeypatch, search, chunk):
-        if chunk is not None:  # some chunks of 7 hold no equal coins, some do
+        if chunk is not None:  # the coins of a chunk of 7 keys or points are not all distinct
             monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: chunk)
         distinct = self.SEARCHES[search]()
         assert len(distinct) > 100
@@ -330,42 +352,61 @@ class TestDistinctCoins:
 
     @pytest.mark.parametrize("search", list(SEARCHES))
     def test_walk_batch_walks_the_distinct_coins(self, monkeypatch, search):
-        chunks, batches = [], []
+        batches, searched = [], []
         # the reducers step through core._padded_walk, in core._collapsed_blocks
         def spy(coins, v, n_steps, walk=core._padded_walk):
-            batches.append(coins.shape[0])
+            batches.append(coins)
             return walk(coins, v, n_steps)
 
-        monkeypatch.setattr(core, "_padded_walk", spy)
-        for name in ("_isolated_hits", "_averaged_hits"):
-            def reduce(params, coins, *args, hits=getattr(sweep, name)):
-                chunks.append(coins)
-                return hits(params, coins, *args)
+        def distinct_coins(axes, distinct=sweep._distinct_coins):
+            index = np.arange(np.prod([len(axis) for axis in axes]))
+            searched.append(_real_coins(*sweep._points(axes, index)))
+            return distinct(axes)
 
-            monkeypatch.setattr(sweep, name, reduce)
-        self.SEARCHES[search]()
-        (coins,) = chunks  # each search is one chunk
-        expected = {"averaged": 126, "isolated": 1050, "z-catalog": 792}[search]
-        assert coins.shape[0] == expected  # keys, or catalog points
-        distinct = len(np.unique(coins[:, 0], axis=0))
-        assert batches == [distinct]
-        assert distinct < coins.shape[0]
+        monkeypatch.setattr(core, "_padded_walk", spy)
+        monkeypatch.setattr(sweep, "_distinct_coins", distinct_coins)
+        expected = {"averaged": (126, 25), "isolated": (1050, 415), "z-catalog": (792, 38)}[search]
+        for chunk in (None, 7):  # one chunk, then a search of several
+            if chunk is not None:
+                monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: chunk)
+            batches.clear()
+            searched.clear()
+            self.SEARCHES[search]()
+            (points,) = searched  # keys, or catalog points
+            coins, distinct = np.concatenate(batches), np.unique(points[:, 0], axis=0)
+            assert points.shape[0] == expected[0]
+            assert coins.shape[0] == len(distinct) == expected[1]
+            assert len(batches) == -(-expected[1] // (chunk or expected[1]))
+            # each distinct coin of the search walks once in all
+            assert np.array_equal(np.unique(coins[:, 0], axis=0), distinct)
+
+    @pytest.mark.parametrize("grid, n_steps, mode, coins", [
+        (0.13, 64, SearchMode.ISOLATED_MAX, 4883),  # 7,938 keys
+        (0.1, 100, SearchMode.AVERAGED_HIGH, 10185),  # 15,246 keys
+    ])
+    def test_chunks_count_distinct_coins(self, monkeypatch, grid, n_steps, mode, coins):
+        tasks = []
+
+        def no_walk(task):
+            tasks.append(task[1:3])
+            return task[1], [np.zeros(0, dtype=np.int64)]  # no hit
+
+        monkeypatch.setattr(sweep, "_scan_chunk", no_walk)
+        assert list(grid_search(grid, n_steps, mode, workers=1)) == []
+        chunk = sweep._auto_chunk(n_steps)
+        assert chunk == 4096
+        assert tasks == [(start, min(start + chunk, coins)) for start in range(0, coins, chunk)]
+        assert len(tasks) == {4883: 2, 10185: 3}[coins]
 
     def test_distinct_coins_and_inverse(self):
-        a = np.array([0.8, 0.6, 0.8, 1.0, 0.6, 0.8])
-        b = np.sqrt(1 - a**2)
-        coins = np.stack([a, b, -b, a], axis=-1).reshape(-1, 2, 2)
-        distinct, inverse = sweep._distinct_coins(coins)
-        assert sorted(distinct[:, 0, 0].tolist()) == [0.6, 0.8, 1.0]
-        assert np.array_equal(distinct[inverse], coins)
-
-    def test_to_walks_gives_each_walk_its_coins_hits(self):
-        # coin 0 has two hits, coin 1 none, coin 2 one; walks hold coins 2, 0, 2, 1
-        columns = [np.array([0, 0, 2]), np.array([3, 5, 4]), np.array([1, 0, 0])]
-        walks, steps, rows = sweep._to_walks(columns, np.array([2, 0, 2, 1]))
-        assert walks.tolist() == [0, 1, 1, 2]
-        assert steps.tolist() == [4, 3, 5, 4]
-        assert rows.tolist() == [0, 1, 0, 0]
+        # the z coin walks r = alpha
+        alpha = np.array([0.8, 0.6, 0.8, 1.0, 0.6, 0.8])
+        axes = [np.array([x]) for x in (1.0, 0.0, np.pi / 2)] + [alpha, np.array([0.0, np.pi])]
+        first, inverse = sweep._distinct_coins(axes)
+        coins = _real_coins(*sweep._points(axes, np.arange(12)))
+        assert first.tolist() == [2, 0, 6]  # the first point of each coin, by (a, b)
+        assert coins[first, 0, 0].tolist() == [0.6, 0.8, 1.0]
+        assert np.array_equal(coins[first][inverse], coins)
 
 
 class TestBatchEngine:
@@ -444,8 +485,8 @@ class TestGridSearch:
 
     def test_pool_of_two_matches_serial(self, monkeypatch):
         serial = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=1))
-        # the 234 key walks of grid 0.5 in chunks of 60 make four tasks, so a real pool runs
-        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 60)
+        # the 35 coins of grid 0.5's 234 keys in chunks of 9 make four tasks, so a real pool runs
+        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 9)
         pooled = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2))
         assert serial == pooled
 
@@ -485,9 +526,9 @@ class TestGridSearch:
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda: FakeContext())
         serial = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=1))
-        # the 7488 grid points have 234 keys, whose walks in chunks of 60 make four tasks
+        # the 7488 grid points have 234 keys of 35 coins, whose walks in chunks of 9 make four tasks
         default_chunk = sweep._auto_chunk
-        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 60)
+        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 9)
         capped = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=64))
         assert started == [4]
         two = list(grid_search(0.5, 5, SearchMode.ISOLATED_MAX, workers=2))
@@ -530,7 +571,9 @@ class TestGridSearch:
         monkeypatch.setattr(sweep, "_key_walks", lambda axes: pytest.fail("key table built"))
         tracemalloc.start()
         try:
-            for grid, cells in [(0.01, "62,809,424"), (0.005, "498,903,300")]:
+            # at 1e-12 the beta_arg axis alone would take about 50 TB
+            for grid, cells in [(0.01, "62,809,424"), (0.005, "498,903,300"),
+                                (1e-12, f"{3141592653590**2 * 6283185307179:,}")]:
                 with pytest.raises(ValueError, match=f"grid step {grid} gives {cells} "):
                     grid_search(grid, 2, SearchMode.ISOLATED_MAX)
             _, peak = tracemalloc.get_traced_memory()
@@ -602,7 +645,7 @@ class TestAveragedPruning:
         for p_threshold, avg_threshold in thresholds:
             expected = self._expected(reference, p_threshold, avg_threshold)
             assert expected
-            for chunk_size in (None, 97):  # 198 key walks: one chunk, then three
+            for chunk_size in (None, 13):  # the 35 coins of 198 keys: one chunk, then three
                 chunk = default_chunk if chunk_size is None else lambda n_steps: chunk_size
                 monkeypatch.setattr(sweep, "_auto_chunk", chunk)
                 for workers in (1, 2):
