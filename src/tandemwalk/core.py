@@ -19,22 +19,29 @@ zero-padded to a width set by the step alone, and hands out finished
 blocks.  The metric paths collapse them through one block loop,
 `_collapsed_blocks`; `walk_batch`, the public engine, is a view of their
 rows, and `iter_steps` and `evolve` run it as a batch of one on complex
-U and V.  Every step, there and in `step`, is one routine, `_advance`,
-which works through preallocated scratch, so a step allocates and
-copies nothing.
+U and V.
 Every metric depends only on r = |W00| of W = V U (`invariant`), so the
 metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
 (|W00|, |W01|) instead, one float64 mix per step: the metric helpers of
 `entanglement` and `sweep` take a stack of those coins (`_real_coins`)
-alone.  One function, `collapse_metrics`, turns amplitudes into the
-outcome probability, the term count and the entropies, for one walk or
-a batch alike; `measure_spin` takes its P and N from it too.
+alone.  A real step is one `np.matmul` of the coin stack with the
+whole padded row, on views made once per buffer; its last bits follow
+the BLAS kernel, which may fuse each sum of two products into one
+rounding, so they are the same on one machine in any batch, block,
+chunk or worker, and may differ between CPUs.  The complex walk, and
+`step`, step through `_advance`, which forms the products and adds them
+in two calls, each product rounded on its own: a fused product would
+leak rounding into the dead branch of its degenerate walks.  Neither
+step allocates.  One function, `collapse_metrics`, turns amplitudes into
+the outcome probability, the term count and the entropies, for one walk
+or a batch alike; `measure_spin` takes its P and N from it too.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -414,43 +421,58 @@ def _written(amps: np.ndarray) -> np.ndarray:
     )
 
 
-def _mixes(m: np.ndarray) -> np.ndarray:
-    """A (B, 2, 2) stack of 2x2 mixes as the (2, 2, B, 1) array, output
-    row, input row, walk, that `_advance` multiplies amplitudes by."""
-    return m.transpose(1, 2, 0)[..., None]
+def _advance(mixes, scratch, amps: np.ndarray, out: np.ndarray) -> None:
+    """Write the next step of every walk from amps into out, on the
+    complex walk.
 
-
-def _scratch(n_mixes: int, b: int, width: int, dtype) -> list[np.ndarray]:
-    """Flat buffers for the intermediates of `_advance` on b walks of up
-    to width slots: the four products of a mix, and with two mixes the
-    amplitudes between them."""
-    between = [np.empty(2 * b * width, dtype) for _ in range(n_mixes - 1)]
-    return [np.empty(4 * b * width, dtype), *between]
-
-
-def _advance(src: np.ndarray, dst: np.ndarray, n: int, mixes, scratch) -> None:
-    """Write step n + 1 of every walk from its step n in src, the one
-    stepping routine.
-
-    src is (2, B, >= n + 1) amplitudes and dst the `_written` view of
-    amplitudes with at least n + 2 slots, every slot of which the step
-    does not write already zero; dst may view src's own array, as every
-    product is formed before any slot is written.  mixes are `_mixes`
-    arrays, applied in turn: with a coin and a shift mix, as two separate
-    2x2 mixes, since multiplying them into one matrix first would leak
-    rounding into the dead branch of the degenerate walks.  A mix m takes
-    the rows (up, down) to (m00 up + m01 down, m10 up + m11 down): one
-    call forms the four products, another adds them pairwise.  The
-    intermediates are contiguous views of the `_scratch` buffers, so a
-    step allocates nothing.
+    amps and out are walk-major (B, 2, k) views: walk, row, slot; out
+    views the `_written` slots of the next step, and k is the number of
+    slots a step reads and writes.  mixes are the (B, 2, 2) stacks of the
+    walk with a trailing axis, applied in turn: with a coin and a shift
+    mix, as two separate 2x2 mixes.  A mix m takes the rows (up, down) to
+    (m00 up + m01 down, m10 up + m11 down): one call forms the four
+    products, another adds them pairwise, each product rounded on its
+    own.  Neither multiplying the mixes into one matrix first nor a fused
+    product such as `np.matmul` would do: either leaks rounding into the
+    dead branch of the degenerate walks.  The intermediates are views of
+    the flat scratch buffers of `_stepper`, so a step allocates nothing.
     """
     products, *between = scratch
-    amps = src[:, :, : n + 1]
-    products = products[: 2 * amps.size].reshape(2, *amps.shape)
-    outs = [x[: amps.size].reshape(amps.shape) for x in between] + [dst[..., : n + 1]]
-    for m, out in zip(mixes, outs):
-        np.multiply(m, amps, out=products)
-        amps = np.add(products[:, 0], products[:, 1], out=out)
+    b, _, k = amps.shape
+    products = products[: 4 * b * k].reshape(b, 2, 2, k)
+    outs = [x[: 2 * b * k].reshape(b, 2, k) for x in between] + [out]
+    for m, dst in zip(mixes, outs):
+        np.multiply(m, amps[:, None], out=products)
+        amps = np.add(products[:, :, 0], products[:, :, 1], out=dst)
+
+
+def _stepper(stacks: list[np.ndarray], width: int):
+    """The step of `_padded_walk` for the (B, 2, 2) mix stacks of its
+    walks on rows of up to width slots: a callable (amps, out=...) that
+    writes the next step from amps into out, walk-major (B, 2, k) views
+    as `_advance` takes them.
+
+    On the real walk, one float64 coin stack, that is one
+    `np.matmul(coins, amps, out=...)`: a 2x2 product per walk, each sum
+    of two products rounded once where the BLAS kernel fuses them, so the
+    last bits follow that kernel.  At r = 1 and r = 0 one product of
+    every sum is an exact 0, so the exact zeros of the chains and the
+    bounce stay exact.  Every other walk, the complex one, steps through
+    `_advance`.
+    """
+    if len(stacks) == 1 and stacks[0].dtype == np.float64:
+        return partial(np.matmul, stacks[0])
+    size, dtype = stacks[0].shape[0] * width, np.result_type(*stacks)
+    # the four products of a mix, and with two mixes the amplitudes between them
+    scratch = [np.empty(4 * size, dtype)] + [np.empty(2 * size, dtype) for _ in stacks[1:]]
+    return partial(_advance, [m[..., None] for m in stacks], scratch)
+
+
+def _rows(buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk-major (rows, B, 2, w - 1) views of a (rows, 2, B, w) buffer of
+    `_padded_walk`: the slots 0..w - 2 a step reads, and the `_written`
+    slots it writes."""
+    return buffer[..., :-1].transpose(0, 2, 1, 3), _written(buffer).transpose(0, 2, 1, 3)
 
 
 #: every step's rows are zero-padded to the next multiple of this width;
@@ -473,35 +495,48 @@ def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
     most `_BLOCK` amplitudes or one step, each row zero-padded to w = the
     next multiple of `_WIDTH` above its step.
 
-    `_advance` writes each step straight into the next row of its block,
-    from the row before (a one-step block's row from itself), so a block
-    is overwritten by the next; collapse it before asking for that.  A
-    (B,) boolean mask sent for the next block keeps those walks alone, in
-    their order, cut from the last row and the coins.  Every walk's
-    arithmetic is elementwise across the batch, so the kept walks' values
-    do not change by a bit.
+    A width class has one zeroed buffer of two halves of a block each,
+    which the blocks fill in turn.  Every step is one call of
+    `_stepper`'s step from the row before it into the `_written` view of
+    the next row, both walk-major views of the whole padded width, made
+    once per buffer (`_rows`): each step writes every slot but up slot 0
+    and the last down slot, which stay zero, and the slots past its own
+    from zeros, so they are zero too.  The first step of a class reads
+    the row before it from a zero-padded copy, and the first after a mask
+    from a copy of the kept walks.  No step reads the row it writes, and
+    a block is overwritten by the next but one; collapse it before asking
+    for that.  A (B,) boolean mask sent for the next block keeps those
+    walks alone, in their order, cut from the last row and the coins.
+    Every walk steps on its own rows with the same step at the same
+    width, so the kept walks' values do not change by a bit, nor do a
+    walk's in any batch or block.
     """
-    stacks = [u] if v is None else [u, v]
-    mixes, dtype, b = [_mixes(m) for m in stacks], np.result_type(*stacks), u.shape[0]
-    amps = np.zeros((2, b, 1), dtype)
-    amps[0] = 1.0  # |up> (x) |0,0>, step 0
-    for w in range(_WIDTH, n_steps + _WIDTH + 1, _WIDTH):
+    stacks, b = [u] if v is None else [u, v], u.shape[0]
+    dtype, top = np.result_type(*stacks), n_steps + _WIDTH
+    advance = _stepper(stacks, top)
+    last = np.zeros((2, b, 1), dtype)
+    last[0] = 1.0  # |up> (x) |0,0>, step 0
+    for w in range(_WIDTH, top + 1, _WIDTH):
         # the steps n of this width: w - _WIDTH < n + 1 <= w
-        first, last = max(1, w - _WIDTH), min(w - 1, n_steps)
-        size = max(1, min(last - first + 1, _BLOCK // (2 * b * w)))
-        # zeroed once: a later step in a row overwrites every slot an earlier one wrote
-        block = np.zeros((size, 2, b, w), dtype)
-        written, scratch = _written(block), _scratch(len(mixes), b, w, dtype)
-        for start in range(first, last + 1, size):
-            steps = range(start, min(start + size, last + 1))
-            for row, n in enumerate(steps):
-                _advance(amps, written[row], n - 1, mixes, scratch)
-                amps = block[row]
-            keep = yield steps[-1], block[: len(steps)]
+        first, stop = max(1, w - _WIDTH), min(w, n_steps + 1)
+        size = max(1, min(stop - first, _BLOCK // (2 * b * w)))
+        buffer = np.zeros((2 * size, 2, b, w), dtype)
+        ins, outs = _rows(buffer)
+        src = np.zeros((b, 2, w - 1), dtype)
+        src[..., : last.shape[-1]] = last.transpose(1, 0, 2)
+        del last  # the buffer it views can go before this class is stepped
+        for i, start in enumerate(range(first, stop, size)):
+            rows = range(i % 2 * size, i % 2 * size + min(size, stop - start))
+            for row in rows:
+                advance(src, out=outs[row])
+                src = ins[row]
+            last = buffer[rows[-1]]
+            keep = yield start + len(rows) - 1, buffer[rows.start : rows.stop]
             if keep is not None:
                 stacks = [m[keep] for m in stacks]
-                mixes, b = [_mixes(m) for m in stacks], stacks[0].shape[0]
-                amps, block, written = amps[:, keep], block[:, :, :b], written[:, :, :b]
+                b, advance = stacks[0].shape[0], _stepper(stacks, top)
+                buffer, last = buffer[:, :, :b], last[:, keep]
+                (ins, outs), src = _rows(buffer), last[..., : w - 1].transpose(1, 0, 2)
 
 
 def walk_batch(
@@ -526,10 +561,10 @@ def walk_batch(
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """Advance the walk by one coin + shift application."""
     n = state.step
-    src = np.stack([state.amps_up, state.amps_down])[:, None]
+    src = np.stack([state.amps_up, state.amps_down])[None]
     dst = np.zeros((2, 1, n + 2), dtype=np.complex128)
-    mixes = [_mixes(coin.matrix()[None]), _mixes(shift.matrix()[None])]
-    _advance(src, _written(dst), n, mixes, _scratch(2, 1, n + 1, np.complex128))
+    advance = _stepper([coin.matrix()[None], shift.matrix()[None]], n + 1)
+    advance(src, out=_written(dst).transpose(1, 0, 2))
     return WalkState(step=n + 1, amps_up=dst[0, 0], amps_down=dst[1, 0])
 
 
@@ -619,7 +654,9 @@ def _collapsed_blocks(coins: np.ndarray, n_steps: int):
         n, block = walk.send(keep)
         if block.shape[-1] <= _PARTIALS:
             block = block[..., : -(-(n + 1) // 8) * 8]
-        keep = yield n, collapse_metrics(block)
+        metrics = collapse_metrics(block)
+        del block  # a width class's buffer can go once the walk carries its last row on
+        keep = yield n, metrics
 
 
 @dataclass(frozen=True)

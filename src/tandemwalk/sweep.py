@@ -113,9 +113,14 @@ def _below(lo: float, step: float, count: int, bound: float) -> int:
     return k
 
 
-def _axis_size(lo: float, hi: float, closed: bool, step: float) -> int:
-    """len(_axis(lo, hi, closed, step)), counted without building the axis."""
-    return _below(lo, step, int(np.floor((hi - lo) / step + 1e-9)) + 1, hi - 1e-12) + closed
+def _axis_size(lo: float, hi: float, closed: bool, step: float) -> int | float:
+    """len(_axis(lo, hi, closed, step)), counted without building the axis;
+    inf where (hi - lo) / step overflows a float, as it can at a subnormal
+    step, so no float grid could be counted or built."""
+    steps = (hi - lo) / step
+    if steps == np.inf:
+        return np.inf
+    return _below(lo, step, int(np.floor(steps + 1e-9)) + 1, hi - 1e-12) + closed
 
 
 def _axis(lo: float, hi: float, closed: bool, step: float) -> np.ndarray:
@@ -188,7 +193,7 @@ class SweepSpec:
         if not 0.0 < self.step < np.inf:  # NaN too
             raise ValueError(f"sweep step must be positive and finite, got {self.step}")
         if (self.stop - self.start) / self.step > 1e7:  # values() builds the whole grid
-            raise ValueError(f"sweep step {self.step} gives more than 10^7 values")
+            raise ValueError(f"sweep step {self.step} spans more than 10^7 grid steps")
         minimum = 2 if self.mode is SweepMode.AVERAGED else 1
         if self.n_steps < minimum:
             raise ValueError(f"n_steps must be at least {minimum}, got {self.n_steps}")

@@ -306,7 +306,7 @@ class TestSweepBound:
             "--stop", "1", "--step", "1e-9", "--steps", "2",
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "values" in err
+        assert err == "error: sweep step 1e-09 spans more than 10^7 grid steps\n"
 
     def test_too_many_per_step_rows_writes_nothing(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
@@ -332,7 +332,8 @@ class TestSearch:
 
     def test_too_fine_a_grid_writes_nothing(self, capsys, tmp_path):
         out_path = tmp_path / "hits.csv"
-        for grid in ("0.005", "1e-12"):  # at 1e-12 no axis could be built
+        # at 1e-12 no axis could be built; at 5e-324, a subnormal, pi / step overflows
+        for grid in ("0.005", "1e-12", "5e-324"):
             start = time.perf_counter()
             code, out, err = run(capsys, "search", "--grid", grid, "--steps", "2",
                                  "--out", str(out_path))

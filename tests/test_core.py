@@ -19,6 +19,7 @@ from tandemwalk import (
     verify_shift_unitarity,
     z_coin,
 )
+from tandemwalk import core
 from tandemwalk.core import (
     CollapseMetrics,
     WalkState,
@@ -576,6 +577,76 @@ class TestWalkBatchMasks:
             assert 0 < kept.size < walks and blocks > 3
             with pytest.raises(StopIteration):
                 next(walk)
+
+
+class TestRealStep:
+    """The real walk steps each row with one `np.matmul` over the whole
+    padded width, so the slots past every step must hold zeros it wrote
+    itself, and a walk's bits must not depend on its batch or block."""
+
+    N_STEPS = 70  # three width classes
+
+    @staticmethod
+    def coins(count):
+        """A general walk, the chains and the bounce, then general walks:
+        count >= 4 in all."""
+        params, _, _ = TestRealWalk.stacks(count, seed=11)
+        params = np.array(params)
+        params[:, 1:4] = TestRealWalk().special_params()
+        return _real_coins(*params)
+
+    def series(self, coins):
+        """P, N, E and normalized E of every step and walk of the blocks
+        of `_padded_walk`.  After the first block to reach step 40, a mask
+        keeps the walks whose index is not 1 mod 3; the others read NaN
+        from step 41 on.  Checks each block's padding on the way."""
+        n, b = self.N_STEPS, coins.shape[0]
+        fields = [np.full((n, 2, b), np.nan) for _ in CollapseMetrics._fields]
+        kept, keep, end, walk = np.arange(b), None, 0, _padded_walk(coins, None, n)
+        masked = False
+        while end < n:
+            end, block = walk.send(keep)
+            keep = None
+            for a, row in enumerate(block, start=end + 1 - len(block)):
+                assert not row[Spin.UP.row, :, 0].any()
+                assert not row[:, :, a + 1 :].any()  # the last down slot too
+            for field, values in zip(fields, collapse_metrics(block)):
+                field[end - len(block) : end][..., kept] = values
+            if end >= 40 and not masked:
+                keep, masked = kept % 3 != 1, True
+                kept = kept[keep]
+        for field in fields:
+            field[40:, :, 1::3] = np.nan
+        return fields
+
+    def test_padding_stays_zero_and_bits_stay_put(self, monkeypatch):
+        everything = self.coins(4096)
+        runs = {}
+        for budget in (1, core._BLOCK, 1 << 18):
+            monkeypatch.setattr(core, "_BLOCK", budget)
+            for b in (1, 25, 4096):
+                runs[budget, b] = self.series(everything[:b])
+        reference = runs[1, 4096]
+        assert np.isnan(reference[0][-1, :, 1]).all() and not np.isnan(reference[0][-1, :, 3]).any()
+        for (budget, b), fields in runs.items():
+            for got, want in zip(fields, reference):
+                assert got.tobytes() == want[..., :b].tobytes(), (budget, b)
+
+    def test_one_matmul_per_step(self, monkeypatch):
+        calls, buffers, matmul, written = [], [], np.matmul, core._written
+
+        def spy(coins, amps, out):
+            calls.append(out.shape)
+            return matmul(coins, amps, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        monkeypatch.setattr(core, "_written", lambda amps: buffers.append(amps) or written(amps))
+        monkeypatch.setattr(core, "_advance", lambda *args, **kwargs: pytest.fail("_advance"))
+        _metric_series(self.coins(4), 200)
+        # every step one call over the whole padded width, a view made once per buffer
+        widths = [-(-(a + 1) // core._WIDTH) * core._WIDTH for a in range(1, 201)]
+        assert calls == [(4, 2, w - 1) for w in widths]
+        assert len(buffers) == len(set(widths)) == 7
 
 
 class TestInitialState:

@@ -133,13 +133,14 @@ class TestSweepSpec:
         monkeypatch.setattr(sweep, "_axis", lambda *args: pytest.fail("grid built"))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="values"):
+            # the bound counts grid steps, (stop - start) / step, not values
+            with pytest.raises(ValueError, match=r"^sweep step 1e-09 spans more than 10\^7 grid steps$"):
                 SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-9, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-7, 2)  # 10^7 values: allowed
+        SweepSpec(CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 1e-7, 2)  # 10^7 grid steps: allowed
 
     def test_per_step_row_count_bounded_before_the_grid_is_built(self, monkeypatch):
         """200 steps of both outcomes at step 1e-5 would hold 4 x 10^7 rows."""
