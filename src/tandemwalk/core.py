@@ -19,22 +19,18 @@ zero-padded to a width set by the step alone, and hands out finished
 blocks.  The metric paths collapse them through one block loop,
 `_collapsed_blocks`; `walk_batch`, the public engine, is a view of their
 rows, and `iter_steps` and `evolve` run it as a batch of one on complex
-U and V.
-Every metric depends only on r = |W00| of W = V U (`invariant`), so the
-metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
-(|W00|, |W01|) instead, one float64 mix per step: the metric helpers of
-`entanglement` and `sweep` take a stack of those coins (`_real_coins`)
-alone.  A real step is one `np.matmul` of the coin stack with the
-whole padded row, on views made once per buffer; its last bits follow
-the BLAS kernel, which may fuse each sum of two products into one
-rounding, so they are the same on one machine in any batch, block,
-chunk or worker, and may differ between CPUs.  The complex walk, and
-`step`, step through `_advance`, which forms the products and adds them
-in two calls, each product rounded on its own: a fused product would
-leak rounding into the dead branch of its degenerate walks.  Neither
-step allocates.  One function, `collapse_metrics`, turns amplitudes into
-the outcome probability, the term count and the entropies, for one walk
-or a batch alike; `measure_spin` takes its P and N from it too.
+U and V, each applied by the one mix rule `_mixed`, which `step` and
+`invariant`'s W use too.  Every metric depends only on r = |W00| of W = V U,
+so the metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
+(|W00|, |W01|) instead: the metric helpers of `entanglement` and `sweep`
+take a stack of those coins (`_real_coins`) alone.  A real step is one
+`np.matmul` of the coin stack with the whole padded row; its last bits
+follow the BLAS kernel, which may fuse each sum of two products into
+one rounding, so they are the same on one machine in any batch, block,
+chunk or worker, and may differ between CPUs.  One function,
+`collapse_metrics`, turns amplitudes into the outcome probability, the
+term count and the entropies, for one walk or a batch alike;
+`measure_spin` takes its P and N from it too.
 """
 
 import numpy as np
@@ -167,19 +163,32 @@ def shift_matrices(alpha, beta_arg) -> np.ndarray:
     return m
 
 
+def _mixed(m: np.ndarray, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows (m00 up + m01 down, m10 up + m11 down) of (..., 2, k)
+    amplitudes (up, down) under a (..., 2, 2) mix m, into out if given:
+    the one rule that applies a complex 2x2 mix.  Each product is rounded
+    on its own, so the two products of a dead slot of the chains and the
+    bounce are exact negatives, whose sum is 0.  A fused product
+    (`np.matmul`: zgemm, with FMA) leaks rounding into those slots, and
+    multiplying U and V into one mix first keeps them at 0 but drifts a
+    chain's modulus by a rounding per step (1.1e-13 after 500 steps).
+    """
+    return np.add(m[..., :1] * amps[..., None, 0, :], m[..., 1:] * amps[..., None, 1, :], out=out)
+
+
 def invariant(rho, theta, eta, alpha, beta_arg):
     """(a, b) = (|W00|, |W01|) of W = V U, for scalar or array parameters.
 
     A global phase and a rephasing of |down> take W to the real coin
     [[a, b], [-b, a]], which walks with the same moduli, so every metric
-    depends on r = a alone.  W's entries are elementwise products of U's
-    and V's, as the engine applies them, so b is exactly 0 at the
-    product-state chains and a at the kempe bounce; (a, b) is divided by
-    its norm, so a^2 + b^2 = 1 to rounding.
+    depends on r = a alone.  W's first row is V's first row mixing U's
+    rows through `_mixed`, as the engine applies them, so b is exactly 0
+    at the product-state chains and a at the kempe bounce; (a, b) is
+    divided by its norm, so a^2 + b^2 = 1 to rounding.
     """
     u, v = coin_matrices(rho, theta, eta), shift_matrices(alpha, beta_arg)
-    a = np.abs(v[..., 0, 0] * u[..., 0, 0] + v[..., 0, 1] * u[..., 1, 0])
-    b = np.abs(v[..., 0, 0] * u[..., 0, 1] + v[..., 0, 1] * u[..., 1, 1])
+    w = np.abs(_mixed(v[..., :1, :], u))
+    a, b = w[..., 0, 0], w[..., 0, 1]
     norm = np.hypot(a, b)
     return a / norm, b / norm
 
@@ -421,51 +430,16 @@ def _written(amps: np.ndarray) -> np.ndarray:
     )
 
 
-def _advance(mixes, scratch, amps: np.ndarray, out: np.ndarray) -> None:
-    """Write the next step of every walk from amps into out, on the
-    complex walk.
-
-    amps and out are walk-major (B, 2, k) views: walk, row, slot; out
-    views the `_written` slots of the next step, and k is the number of
-    slots a step reads and writes.  mixes are the (B, 2, 2) stacks of the
-    walk with a trailing axis, applied in turn: with a coin and a shift
-    mix, as two separate 2x2 mixes.  A mix m takes the rows (up, down) to
-    (m00 up + m01 down, m10 up + m11 down): one call forms the four
-    products, another adds them pairwise, each product rounded on its
-    own.  Neither multiplying the mixes into one matrix first nor a fused
-    product such as `np.matmul` would do: either leaks rounding into the
-    dead branch of the degenerate walks.  The intermediates are views of
-    the flat scratch buffers of `_stepper`, so a step allocates nothing.
-    """
-    products, *between = scratch
-    b, _, k = amps.shape
-    products = products[: 4 * b * k].reshape(b, 2, 2, k)
-    outs = [x[: 2 * b * k].reshape(b, 2, k) for x in between] + [out]
-    for m, dst in zip(mixes, outs):
-        np.multiply(m, amps[:, None], out=products)
-        amps = np.add(products[:, :, 0], products[:, :, 1], out=dst)
-
-
-def _stepper(stacks: list[np.ndarray], width: int):
-    """The step of `_padded_walk` for the (B, 2, 2) mix stacks of its
-    walks on rows of up to width slots: a callable (amps, out=...) that
-    writes the next step from amps into out, walk-major (B, 2, k) views
-    as `_advance` takes them.
-
-    On the real walk, one float64 coin stack, that is one
-    `np.matmul(coins, amps, out=...)`: a 2x2 product per walk, each sum
-    of two products rounded once where the BLAS kernel fuses them, so the
-    last bits follow that kernel.  At r = 1 and r = 0 one product of
-    every sum is an exact 0, so the exact zeros of the chains and the
-    bounce stay exact.  Every other walk, the complex one, steps through
-    `_advance`.
-    """
-    if len(stacks) == 1 and stacks[0].dtype == np.float64:
-        return partial(np.matmul, stacks[0])
-    size, dtype = stacks[0].shape[0] * width, np.result_type(*stacks)
-    # the four products of a mix, and with two mixes the amplitudes between them
-    scratch = [np.empty(4 * size, dtype)] + [np.empty(2 * size, dtype) for _ in stacks[1:]]
-    return partial(_advance, [m[..., None] for m in stacks], scratch)
+def _stepper(u: np.ndarray, v: np.ndarray | None):
+    """The step of `_padded_walk` for the (B, 2, 2) stacks u and v: a
+    callable (src, out=...) that writes the next step from src into out,
+    walk-major (B, 2, k) views.  The real walk, a float64 u and no v,
+    steps by one `np.matmul`: at r = 1 and r = 0 one product of every sum
+    is an exact 0, so its zeros stay exact however the kernel rounds.
+    Any other walk mixes u and then v through `_mixed`."""
+    if v is not None:
+        return lambda src, out: _mixed(v, _mixed(u, src), out=out)
+    return partial(np.matmul if u.dtype == np.float64 else _mixed, u)
 
 
 def _rows(buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -506,14 +480,13 @@ def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
     from a copy of the kept walks.  No step reads the row it writes, and
     a block is overwritten by the next but one; collapse it before asking
     for that.  A (B,) boolean mask sent for the next block keeps those
-    walks alone, in their order, cut from the last row and the coins.
-    Every walk steps on its own rows with the same step at the same
-    width, so the kept walks' values do not change by a bit, nor do a
-    walk's in any batch or block.
+    walks alone, in their order, cut from the last row, u and v.  Every
+    walk steps on its own rows with the same step at the same width, so
+    the kept walks' values do not change by a bit, nor do a walk's in any
+    batch or block.
     """
-    stacks, b = [u] if v is None else [u, v], u.shape[0]
-    dtype, top = np.result_type(*stacks), n_steps + _WIDTH
-    advance = _stepper(stacks, top)
+    b, top, advance = u.shape[0], n_steps + _WIDTH, _stepper(u, v)
+    dtype = u.dtype if v is None else np.result_type(u, v)
     last = np.zeros((2, b, 1), dtype)
     last[0] = 1.0  # |up> (x) |0,0>, step 0
     for w in range(_WIDTH, top + 1, _WIDTH):
@@ -533,8 +506,8 @@ def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
             last = buffer[rows[-1]]
             keep = yield start + len(rows) - 1, buffer[rows.start : rows.stop]
             if keep is not None:
-                stacks = [m[keep] for m in stacks]
-                b, advance = stacks[0].shape[0], _stepper(stacks, top)
+                u, v = u[keep], None if v is None else v[keep]
+                b, advance = u.shape[0], _stepper(u, v)
                 buffer, last = buffer[:, :, :b], last[:, keep]
                 (ins, outs), src = _rows(buffer), last[..., : w - 1].transpose(1, 0, 2)
 
@@ -545,11 +518,12 @@ def walk_batch(
     """Evolve a batch of walks from |up> (x) |0,0>, the one evolution engine.
 
     u and v are (B, 2, 2) stacks of coin and shift matrices, walked in
-    complex128.  With v None, u alone is the mix, and a float64 u such as
-    `_real_coins` gives walks in float64.  Yields (n, amps) after each of
-    steps 1..n_steps, where amps is a (2, B, n + 1) view: row `Spin.row`,
-    walk, then k = number of up moves.  It views a row of a block of
-    `_padded_walk`, which a later block overwrites; copy what you keep.
+    their common dtype (complex128 for `coin_matrices`).  With v None, u
+    alone is the mix, and a float64 u such as `_real_coins` walks in
+    float64.  Yields (n, amps) after each of steps 1..n_steps, where amps
+    is a (2, B, n + 1) view: row `Spin.row`, walk, then k = number of up
+    moves.  It views a row of a block of `_padded_walk`, which a later
+    block overwrites; copy what you keep.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
@@ -560,12 +534,10 @@ def walk_batch(
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """Advance the walk by one coin + shift application."""
-    n = state.step
-    src = np.stack([state.amps_up, state.amps_down])[None]
-    dst = np.zeros((2, 1, n + 2), dtype=np.complex128)
-    advance = _stepper([coin.matrix()[None], shift.matrix()[None]], n + 1)
-    advance(src, out=_written(dst).transpose(1, 0, 2))
-    return WalkState(step=n + 1, amps_up=dst[0, 0], amps_down=dst[1, 0])
+    src = np.stack([state.amps_up, state.amps_down])
+    dst = np.zeros((2, 1, state.step + 2), np.complex128)
+    _mixed(shift.matrix(), _mixed(coin.matrix(), src), out=_written(dst)[:, 0])
+    return WalkState(step=state.step + 1, amps_up=dst[0, 0], amps_down=dst[1, 0])
 
 
 def iter_steps(

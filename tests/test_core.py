@@ -549,6 +549,58 @@ class TestRealWalk:
         assert np.all(series.entropy == 0.0) and np.all(series.normalized == 0.0)
         assert np.all(series.term_count <= 1)
 
+    def test_complex_walk_is_the_real_walk_times_derived_phases(self):
+        """With W = V U and (a, b) = `invariant`, set p1 = W00/a,
+        p2 = -W10/b, q2 = W01 a/(W00 b), e2 = q2 p2 and e^{i delta} = p1/e2.
+        Then c_up(n, k) = e2^n e^{i delta k} x_up(n, k) and c_down(n, k) =
+        e2^(n-1) e^{i delta k} p2 x_down(n, k), x the real walk: the
+        amplitudes agree, not only their moduli, and no phase is fitted."""
+        n = 800
+        params, u, v = self.stacks(20, seed=12)
+        a, b = invariant(*params)
+        assert np.all(a > 0) and np.all(b > 0)
+        w = core._mixed(v, u)
+        p1, p2 = w[:, 0, 0] / a, -w[:, 1, 0] / b
+        e2 = w[:, 0, 1] * a / (w[:, 0, 0] * b) * p2
+        along = (p1 / e2)[:, None] ** np.arange(n + 1)  # e^{i delta k}, (B, n + 1)
+        worst, real_walk = 0.0, walk_batch(_real_coins(*params), None, n)
+        for (m, full), (_, real) in zip(walk_batch(u, v, n), real_walk):
+            up = e2[:, None] ** m * along[:, : m + 1] * real[Spin.UP.row]
+            down = (e2 ** (m - 1) * p2)[:, None] * along[:, : m + 1] * real[Spin.DOWN.row]
+            worst = max(worst, np.max(np.abs(full - np.stack([up, down]))))
+        assert m == n and worst <= 1e-12
+
+
+class TestOneMixRule:
+    """`core._mixed` applies every complex 2x2 mix: the complex walk's
+    coin and shift, `step`, and W in `invariant`."""
+
+    def test_invariants_w_is_the_walks_w(self):
+        """The step-1 amplitudes of the complex walk are column 0 of W = V U
+        as `invariant` forms it, to the bit."""
+        params, _, _ = TestRealWalk.stacks(40, seed=7)
+        params = np.c_[np.array(params), TestRealWalk().special_params()]
+        u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
+        w = core._mixed(v, u)
+        (_, amps), = walk_batch(u, v, 1)
+        assert amps[Spin.UP.row, :, 1].tobytes() == w[:, 0, 0].tobytes()
+        assert amps[Spin.DOWN.row, :, 0].tobytes() == w[:, 1, 0].tobytes()
+        moduli = np.abs(w[:, 0]).T  # |W00|, |W01|
+        for got, want in zip(invariant(*params), moduli / np.hypot(*moduli)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_chains_keep_unit_modulus_and_no_down_amplitude(self):
+        """Each product rounded on its own keeps a chain's one amplitude at
+        modulus 1 to an ulp over 500 complex steps, and its down branch at
+        an exact 0; one premultiplied mix W drifts the modulus by a
+        rounding per step."""
+        chains = TestRealWalk().special_params()[:, :2]
+        u, v = coin_matrices(*chains[:3]), shift_matrices(*chains[3:])
+        for n, amps in walk_batch(u, v, 500):
+            assert np.all(np.abs(np.abs(amps[Spin.UP.row, :, n]) - 1.0) <= 1e-15), n
+            assert np.all(collapse_metrics(amps).probability[Spin.DOWN.row] == 0.0), n
+        assert n == 500
+
 
 class TestWalkBatchMasks:
     """A consumer of the stepping generator behind `walk_batch` can drop
@@ -633,6 +685,7 @@ class TestRealStep:
                 assert got.tobytes() == want[..., :b].tobytes(), (budget, b)
 
     def test_one_matmul_per_step(self, monkeypatch):
+        coins = self.coins(4)  # `invariant` mixes through `_mixed`, the walk must not
         calls, buffers, matmul, written = [], [], np.matmul, core._written
 
         def spy(coins, amps, out):
@@ -641,8 +694,8 @@ class TestRealStep:
 
         monkeypatch.setattr(np, "matmul", spy)
         monkeypatch.setattr(core, "_written", lambda amps: buffers.append(amps) or written(amps))
-        monkeypatch.setattr(core, "_advance", lambda *args, **kwargs: pytest.fail("_advance"))
-        _metric_series(self.coins(4), 200)
+        monkeypatch.setattr(core, "_mixed", lambda *args, **kwargs: pytest.fail("_mixed"))
+        _metric_series(coins, 200)
         # every step one call over the whole padded width, a view made once per buffer
         widths = [-(-(a + 1) // core._WIDTH) * core._WIDTH for a in range(1, 201)]
         assert calls == [(4, 2, w - 1) for w in widths]
