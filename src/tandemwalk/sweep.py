@@ -1,17 +1,16 @@
 """Parameter-space exploration: 1-D sweeps, five-parameter grid searches
 and per-coin catalogs of maximal-entanglement events.
 
-All three are one scan, `_scan`, over the product of parameter axes,
-plus a reducer.  The scan cuts the product into chunks of consecutive
-entries, sized so memory stays bounded, and builds each chunk's real
-coins of r (`core.invariant`): every metric depends on r alone.  The
-reducer evolves the chunk through the one stepping generator in `core`
-(`_padded_walk` in float64), whose finished blocks one block loop
-collapses (`core._collapsed_blocks`), into rows or hits, so rows and
-hits carry the bits of the walk's series.  A sweep is four one-value
-axes and the swept one; its rows index the per-step series and the
-average of `entanglement` (`_metric_series`, `_averaged`), the same code
-the single-walk functions run.
+All three are one scan, `_scan`, of a (P, 2, 2) float64 stack of real
+coins of r (`core.invariant`), plus a reducer: every metric depends on r
+alone.  The scan cuts the stack into chunks of consecutive coins, sized
+so memory stays bounded, and the reducer evolves each chunk through the
+one stepping generator in `core` (`_padded_walk` in float64), whose
+finished blocks one block loop collapses (`core._collapsed_blocks`),
+into rows or hits, so rows and hits carry the bits of the walk's series.
+A sweep scans the coins of its swept values with `entanglement`'s
+per-step series or average (`_metric_series`, `_averaged`), the same
+code the single-walk functions run, and makes a row per value.
 A search has points, the keys of a grid (`_key_walks`: points with equal
 keys have equal metrics) or the points of a coin's catalog.  It maps
 each point to its distinct real coin once (`_distinct_coins`) and scans
@@ -20,15 +19,14 @@ in grid order, a piece at a time.  The averaged search drops, at the
 end of each block, the walks that can no longer become hits.
 `grid_search` and `find_max_cases` turn the pieces of `_search` into
 `MaxEntanglementHit` tuples; the CLI turns them into CSV text.  Search
-chunks can go to worker processes; chunk boundaries depend only on the
-grid, never on the worker count, so output order and content are
-identical for any parallelism.
+chunks can go to worker processes, each with its own slice of coins;
+chunk boundaries depend only on the grid, never on the worker count, so
+output order and content are identical for any parallelism.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import chain
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -157,8 +155,8 @@ class SweepSpec:
     """One-dimensional sweep of a single coin or shift parameter.
 
     fixed supplies the non-swept parameters (rho/theta/eta for the
-    general coin, alpha/beta_arg for the shift; alpha defaults to the
-    balanced point and beta_arg to 0).  The spec holds each fixed value
+    general coin alone, alpha/beta_arg for the shift; alpha defaults to
+    the balanced point and beta_arg to 0).  The spec holds each fixed value
     as the operators would, checked and a beta_arg reduced mod 2 pi.  An
     alpha sweep always contains the exact balanced alpha when it lies
     inside [start, stop], because the averaged entanglement is
@@ -179,11 +177,16 @@ class SweepSpec:
 
     def __post_init__(self):
         lo, hi, closed = _domain(self.swept)
-        coin_params = {"rho", "theta", "eta"}
-        if self.coin_family is not CoinFamily.GENERAL and self.swept in coin_params:
-            raise ValueError(
-                f"cannot sweep {self.swept!r} with the fixed {self.coin_family.value} coin"
-            )
+        if self.coin_family is not CoinFamily.GENERAL:
+            coin_params = {"rho", "theta", "eta"}
+            if self.swept in coin_params:
+                raise ValueError(
+                    f"cannot sweep {self.swept!r} with the fixed {self.coin_family.value} coin"
+                )
+            if given := coin_params & self.fixed.keys():
+                raise ValueError(
+                    f"cannot set {min(given)!r} with the fixed {self.coin_family.value} coin"
+                )
         top_ok = self.stop <= hi if closed else self.stop < hi + 1e-12
         if not (lo <= self.start <= self.stop and top_ok):
             raise ValueError(
@@ -247,18 +250,24 @@ def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
         point.update(rho=coin.rho, theta=coin.theta, eta=coin.eta)
     elif not {"rho", "theta", "eta"} <= point.keys() | {spec.swept}:
         raise ValueError("the general coin family needs rho, theta and eta")
-    axes = [
-        spec.values() if name == spec.swept else np.array([point[name]], dtype=np.float64)
-        for name in PARAM_RANGES
-    ]
+    values = spec.values()
+    coins = _real_coins(*(values if name == spec.swept else point[name] for name in PARAM_RANGES))
+    values, rows = values.tolist(), []
     if spec.mode is SweepMode.AVERAGED:
-        header, reduce = [spec.swept, "outcome", f"avg_E_{n}"], _averaged_rows
+        header = [spec.swept, "outcome", f"avg_E_{n}"]
+        for start, (_, mean, _, _) in _scan(coins, n, _averaged):
+            for value, means in zip(values[start : start + mean.shape[1]], mean.T.tolist()):
+                rows += [(value, outcome.value, means[outcome.row]) for outcome in spec.outcomes]
     else:
         header = [spec.swept, "outcome", "step", "P", "N", "E_bits", "normalized_E"]
-        reduce = _per_step_rows
-    swept = list(PARAM_RANGES).index(spec.swept)
-    scan = _scan(axes, n, reduce, swept, spec.outcomes)
-    return header, list(chain.from_iterable(rows for _, rows in scan))
+        for start, columns in _scan(coins, n, _metric_series):
+            for j, value in enumerate(values[start : start + columns[0].shape[2]]):
+                for outcome in spec.outcomes:
+                    metrics = (column[:, outcome.row, j].tolist() for column in columns)
+                    rows += (
+                        (value, outcome.value, a, *m) for a, m in enumerate(zip(*metrics), start=1)
+                    )
+    return header, rows
 
 
 class MaxEntanglementHit(NamedTuple):
@@ -300,24 +309,18 @@ def _auto_chunk(n_steps: int) -> int:
     return max(4096, (1 << 18) // (n_steps + 1))
 
 
-def _scan(axes, n_steps, reduce, *args, workers=1) -> Iterator:
-    """Yield `(start, reduce(params, coins, n_steps, *args))` for each
-    chunk of the product of `axes`, in order; start is the flat index of
-    the chunk's first point.
+def _scan(coins, n_steps, reduce, *args, workers=1) -> Iterator:
+    """Yield `(start, reduce(coins[start:stop], n_steps, *args))` for each
+    chunk of the (P, 2, 2) float64 real-coin stack `coins`, in order.
 
-    An axis holds one parameter, (size,), or k that move together,
-    (size, k); the product's rows are the five parameters in
-    `PARAM_RANGES` order, the last axis running fastest.  params are the
-    chunk's five parameter columns, and coins the (B, 2, 2) float64
-    stack of their real coins (`core._real_coins`).  Chunks hold
-    `_auto_chunk` points.  workers > 1 spreads them over that many
+    Chunks hold `_auto_chunk` consecutive coins, and each task carries its
+    own slice of the stack.  workers > 1 spreads them over that many
     processes, capped at the chunk count, so one chunk starts none.
     """
-    total = int(np.prod([len(axis) for axis in axes]))
     chunk = _auto_chunk(n_steps)
     tasks = [
-        (axes, start, min(start + chunk, total), n_steps, reduce, args)
-        for start in range(0, total, chunk)
+        (start, coins[start : start + chunk], n_steps, reduce, args)
+        for start in range(0, len(coins), chunk)
     ]
     processes = min(workers, len(tasks))
     if processes > 1:
@@ -329,54 +332,33 @@ def _scan(axes, n_steps, reduce, *args, workers=1) -> Iterator:
         yield from map(_scan_chunk, tasks)
 
 
-def _points(axes, index) -> list[np.ndarray]:
-    """The five parameter columns of the points at flat indices `index` of `_scan`'s axes."""
-    subs = np.unravel_index(index, [len(axis) for axis in axes])
+def _scan_chunk(task):
+    """One chunk of `_scan`: the reducer on the chunk's coins."""
+    start, coins, n_steps, reduce, args = task
+    return start, reduce(coins, n_steps, *args)
+
+
+def _points(axes) -> list[np.ndarray]:
+    """The five parameter columns of every point of the product of `axes`,
+    the last axis running fastest.  An axis holds one parameter, (size,),
+    or k that move together, (size, k), as `_key_walks` gives them."""
+    subs = np.indices([len(axis) for axis in axes]).reshape(len(axes), -1)
     return [row for axis, sub in zip(axes, subs) for row in np.atleast_2d(axis[sub].T)]
 
 
-def _scan_chunk(task):
-    """One chunk of `_scan`: its parameter columns, real coins, then the reducer."""
-    axes, start, stop, n_steps, reduce, args = task
-    params = _points(axes, np.arange(start, stop))
-    return start, reduce(params, _real_coins(*params), n_steps, *args)
-
-
-def _averaged_rows(params, coins, n_steps, swept, outcomes) -> list[tuple]:
-    """Sweep rows (value, outcome, mean normalized E), by walk then outcome."""
-    mean = _averaged(coins, n_steps)[1]
-    return [
-        (value, outcome.value, float(mean[outcome.row, j]))
-        for j, value in enumerate(params[swept].tolist())
-        for outcome in outcomes
-    ]
-
-
-def _per_step_rows(params, coins, n_steps, swept, outcomes) -> list[tuple]:
-    """Sweep rows (value, outcome, step, P, N, E, normalized E), by walk,
-    then outcome, then step."""
-    columns = _metric_series(coins, n_steps)
-    rows = []
-    for j, value in enumerate(params[swept].tolist()):
-        for outcome in outcomes:
-            metrics = (column[:, outcome.row, j].tolist() for column in columns)
-            rows.extend(
-                (value, outcome.value, a, *m) for a, m in enumerate(zip(*metrics), start=1)
-            )
-    return rows
-
-
 def _distinct_coins(axes):
-    """(first, inverse): the flat index into the product of `axes` of the
-    first point of each distinct real coin, by the bits of its (a, b) row,
-    and the index into first of each point's coin.  Points of equal coins
-    have equal metrics, so a search walks the points first alone."""
-    a, b = invariant(*_points(axes, np.arange(np.prod([len(axis) for axis in axes]))))
+    """(coins, inverse): the real coin of each distinct (a, b) row of
+    `core.invariant` over the points of the product of `axes`, by the
+    bits of the row and taken at the first point with it, and the index
+    into coins of each point's coin.  Points of equal coins have equal
+    metrics, so a search walks coins alone."""
+    a, b = invariant(*_points(axes))
     _, first, inverse = np.unique(a + 1j * b, return_index=True, return_inverse=True)
-    return first, inverse
+    a, b = a[first], b[first]
+    return np.stack([a, b, -b, a], axis=-1).reshape(-1, 2, 2), inverse
 
 
-def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
+def _isolated_hits(coins, n_steps, p_threshold, maximal_atol):
     """Hit columns (walk, step, row, normalized E, P, N) of every
     (walk, step, spin) whose collapse is maximally entangled with
     probability above p_threshold, by walk, then step, then up before
@@ -402,7 +384,7 @@ def _isolated_hits(params, coins, n_steps, p_threshold, maximal_atol):
     return [column[order] for column in columns]
 
 
-def _averaged_hits(params, coins, n_steps, p_threshold, avg_threshold):
+def _averaged_hits(coins, n_steps, p_threshold, avg_threshold):
     """Hit columns, as `_isolated_hits` returns them, of every (walk, spin)
     whose mean normalized E exceeds avg_threshold with every P above
     p_threshold, by walk, then up before down; the hit carries the mean,
@@ -421,25 +403,24 @@ def _fan_out(axes, walk_axes, key, n_steps, reduce, *args, workers=1) -> Iterato
     """Yield `(points, hits, columns)` per piece of a search of the grid
     `axes`: one entry per point and hit of its coin, in grid order.
 
-    walk_axes are `_scan` axes of one entry per key, and key maps index
-    arrays into `axes` to keys, broadcasting one (m, 1) column per
-    leading axis against a (1, n_beta) row of beta_arg indices.  Each
-    distinct real coin of the keys (`_distinct_coins`) walks once, in
-    `_scan` chunks of coins, with `reduce` and args.  points are flat
-    indices into the grid, and hits index the coin-hit columns (step,
-    spin row, normalized E, P, N), which go out whole with every piece;
-    a piece's own arrays are sized by its points and hits.  Points go in
-    chunks of whole beta_arg rows, at most max(`_PIECE`, n_beta) points,
-    each cut into pieces of about `_PIECE` hits; with no hit at all no
-    point is visited."""
-    walked, inverse = _distinct_coins(walk_axes)
-    coins = [np.column_stack(_points(walk_axes, walked))]  # one axis of five columns
+    walk_axes are `_points` axes of one entry per key, and key maps
+    index arrays into `axes` to keys, broadcasting one (m, 1) column per
+    leading axis against a (1, n_beta) row of beta_arg indices.  The
+    stack of the keys' distinct real coins (`_distinct_coins`) is
+    `_scan`'s input, so each coin walks once, with `reduce` and args.
+    points are flat indices into the grid, and hits index the coin-hit
+    columns (step, spin row, normalized E, P, N), which go out whole
+    with every piece; a piece's own arrays are sized by its points and
+    hits.  Points go in chunks of whole beta_arg rows, at most
+    max(`_PIECE`, n_beta) points, each cut into pieces of about `_PIECE`
+    hits; with no hit at all no point is visited."""
+    coins, inverse = _distinct_coins(walk_axes)
     scan = _scan(coins, n_steps, reduce, *args, workers=workers)
     found = [(start + walks, *rest) for start, (walks, *rest) in scan]
     if not any(walks.size for walks, *_ in found):
         return
     hit_coins, *columns = (np.concatenate(column) for column in zip(*found))
-    counts = np.bincount(hit_coins, minlength=walked.size)
+    counts = np.bincount(hit_coins, minlength=len(coins))
     first = np.cumsum(counts) - counts
     *shape, n_beta = [axis.size for axis in axes]
     n_rows, chunk = int(np.prod(shape)), max(1, _PIECE // n_beta)
@@ -471,7 +452,7 @@ def _hits(axes, pieces) -> Iterator[MaxEntanglementHit]:
 
 
 def _key_walks(axes):
-    """([rho, rest], key, n_keys): `_scan` axes of one entry per key of the
+    """([rho, rest], key, n_keys): `_points` axes of one entry per key of the
     grid `axes`, at the key's first point, and the map of index arrays
     into `axes`, flat or broadcasting, to keys.  The key (rho index,
     (|m|, c mod 2), alpha index) fixes r = |W00| and so every metric, where
@@ -511,10 +492,11 @@ def grid_search(
     2..n_steps exceeds avg_threshold while every per-step probability
     stays above p_threshold; its hits carry the average in `normalized`
     and the worst per-step probability in `probability`, and it needs
-    0 <= avg_threshold < 1.  A walk drops out of its chunk mid-walk once
-    neither outcome can become a hit any more (see `_averaged`); each
-    walk's arithmetic does not depend on which others share its batch,
-    so the hits are the same, to the bit, as those of a full run.
+    0 <= avg_threshold < 1.  A walk drops out of its chunk at the end of
+    the block of steps in which neither outcome can become a hit any more
+    (see `_averaged`); each walk's arithmetic does not depend on which
+    others share its batch, so the hits are the same, to the bit, as
+    those of a full run.
 
     Each distinct real coin of the grid's keys (see `_key_walks`) walks
     once and gives its hits to every point of the keys with that coin.  A

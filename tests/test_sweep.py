@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,13 @@ class TestSweepSpec:
             SweepSpec(
                 CoinFamily.HADAMARD, "alpha", 0.0, 1.0, 0.5, 10, fixed={"gamma": 1.0}
             )
+
+    @pytest.mark.parametrize("family", [CoinFamily.HADAMARD, CoinFamily.KEMPE, CoinFamily.Z])
+    @pytest.mark.parametrize("name", ["rho", "theta", "eta"])
+    def test_rejects_fixed_coin_parameter_for_named_coin(self, family, name):
+        # the named coin fixes its own rho, theta and eta; a sweep would drop this one
+        with pytest.raises(ValueError, match=f"cannot set '{name}' with the fixed {family.value} coin"):
+            SweepSpec(family, "alpha", 0.0, 1.0, 0.5, 4, fixed={"beta_arg": 0.0, name: 0.3})
 
     def test_values_include_balanced_point(self):
         spec = SweepSpec(
@@ -336,8 +344,8 @@ class TestDistinctCoins:
     @staticmethod
     def walk_every_coin(monkeypatch):
         def every_point(axes):
-            index = np.arange(np.prod([len(axis) for axis in axes]))
-            return index, index
+            coins = _real_coins(*sweep._points(axes))
+            return coins, np.arange(len(coins))
 
         monkeypatch.setattr(sweep, "_distinct_coins", every_point)
 
@@ -360,8 +368,7 @@ class TestDistinctCoins:
             return walk(coins, v, n_steps)
 
         def distinct_coins(axes, distinct=sweep._distinct_coins):
-            index = np.arange(np.prod([len(axis) for axis in axes]))
-            searched.append(_real_coins(*sweep._points(axes, index)))
+            searched.append(_real_coins(*sweep._points(axes)))
             return distinct(axes)
 
         monkeypatch.setattr(core, "_padded_walk", spy)
@@ -389,8 +396,9 @@ class TestDistinctCoins:
         tasks = []
 
         def no_walk(task):
-            tasks.append(task[1:3])
-            return task[1], [np.zeros(0, dtype=np.int64)]  # no hit
+            start, coins, *_ = task
+            tasks.append((start, start + len(coins)))
+            return start, [np.zeros(0, dtype=np.int64)]  # no hit
 
         monkeypatch.setattr(sweep, "_scan_chunk", no_walk)
         assert list(grid_search(grid, n_steps, mode, workers=1)) == []
@@ -399,15 +407,55 @@ class TestDistinctCoins:
         assert tasks == [(start, min(start + chunk, coins)) for start in range(0, coins, chunk)]
         assert len(tasks) == {4883: 2, 10185: 3}[coins]
 
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    def test_one_invariant_per_key_point(self, monkeypatch, mode):
+        evaluated = []
+
+        def spy(*params, invariant=core.invariant):
+            evaluated.append(np.broadcast(*params).size)
+            return invariant(*params)
+
+        # where the search calls it, and where core._real_coins does
+        monkeypatch.setattr(sweep, "invariant", spy)
+        monkeypatch.setattr(core, "invariant", spy)
+        list(grid_search(0.3, 4, mode))
+        assert sum(evaluated) == 1050  # grid 0.3's keys, not its 415 distinct coins again
+
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    def test_each_task_carries_only_its_own_coins(self, monkeypatch, mode):
+        monkeypatch.setattr(sweep, "_auto_chunk", lambda n_steps: 7)
+        scan_chunk, sizes = sweep._scan_chunk, {}
+        for grid, n_coins in [(0.6, 35), (0.3, 415)]:
+            tasks = []
+            monkeypatch.setattr(sweep, "_scan_chunk", lambda task: tasks.append(task) or scan_chunk(task))
+            list(grid_search(grid, 4, mode))
+            # the first key point of each distinct coin, by the bits of its (a, b) row
+            walk_axes, _, _ = sweep._key_walks([grid_axis(name, grid) for name in PARAM_RANGES])
+            points = sweep._points(walk_axes)
+            rows = _real_coins(*points)[:, 0]
+            _, first = np.unique(rows[:, 0] + 1j * rows[:, 1], return_index=True)
+            assert first.size == n_coins
+            starts = [start for start, *_ in tasks]
+            assert starts == list(range(0, n_coins, 7))
+            for start, coins, *_ in tasks:
+                assert coins.dtype == np.float64 and 0 < len(coins) <= 7
+                chunk = first[start : start + 7]
+                assert np.array_equal(coins, _real_coins(*(p[chunk] for p in points)))
+            sizes[grid] = max(len(pickle.dumps(task)) for task in tasks)
+        # about 12 times the coins, the same task size: a start index past 255 takes a byte more
+        assert sizes[0.3] <= sizes[0.6] + 8
+
     def test_distinct_coins_and_inverse(self):
         # the z coin walks r = alpha
         alpha = np.array([0.8, 0.6, 0.8, 1.0, 0.6, 0.8])
         axes = [np.array([x]) for x in (1.0, 0.0, np.pi / 2)] + [alpha, np.array([0.0, np.pi])]
-        first, inverse = sweep._distinct_coins(axes)
-        coins = _real_coins(*sweep._points(axes, np.arange(12)))
-        assert first.tolist() == [2, 0, 6]  # the first point of each coin, by (a, b)
-        assert coins[first, 0, 0].tolist() == [0.6, 0.8, 1.0]
-        assert np.array_equal(coins[first][inverse], coins)
+        distinct, inverse = sweep._distinct_coins(axes)
+        coins = _real_coins(*sweep._points(axes))
+        assert len(coins) == 12
+        # the coin of the first point of each coin, by (a, b), to the bit
+        assert np.array_equal(distinct, coins[[2, 0, 6]])
+        assert distinct[:, 0, 0].tolist() == [0.6, 0.8, 1.0]
+        assert np.array_equal(distinct[inverse], coins)
 
 
 class TestBatchEngine:
