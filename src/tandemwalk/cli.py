@@ -16,6 +16,7 @@ buffers stay small enough to be reused from piece to piece.
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from dataclasses import fields
@@ -52,8 +53,8 @@ from .sweep import (
     SweepMode,
     SweepSpec,
     _search,
+    _sweep,
     family_coin,
-    sweep_1d,
 )
 
 _QUARTER = float(np.pi / 2)
@@ -294,15 +295,15 @@ def _figure_rows(tag: str, n_steps_override: int | None):
     if tag not in figures:
         raise ValueError(f"unknown figure tag {tag!r}")
     desc, specs = figures[tag]
-    rows = []
-    for spec in specs():
-        header, part = sweep_1d(spec)
-        if tag == "fig5":  # two alpha lines in one table
-            alpha = spec.fixed["alpha"]
-            header = [header[0], "alpha", *header[1:]]
-            part = [(row[0], alpha, *row[1:]) for row in part]
-        rows.extend(part)
-    return desc, header, rows
+    specs = specs()
+    parts = [_sweep(spec) for spec in specs]
+    header = [next(part) for part in parts][0]  # each spec raises here, before any row
+    if tag != "fig5":
+        return desc, header, itertools.chain.from_iterable(parts)
+    alphas = [spec.fixed["alpha"] for spec in specs]  # two alpha lines in one table
+    return desc, [header[0], "alpha", *header[1:]], (
+        (row[0], alpha, *row[1:]) for alpha, part in zip(alphas, parts) for row in part
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -329,7 +330,8 @@ def cmd_sweep(args) -> int:
             outcomes=_parse_outcomes(args.outcome),
             mode=SweepMode(args.mode),
         )
-        header, rows = sweep_1d(spec)
+        rows = _sweep(spec)
+        header = next(rows)
         meta = {"command": "sweep", **_operator_meta(args.coin, spec.fixed)}
         meta.update(
             sweep=args.sweep,

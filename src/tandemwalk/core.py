@@ -14,27 +14,27 @@ amplitudes carry the walker-walker entanglement.
 
 After n steps the pair can only sit at sites 2k - n, where k counts the
 up moves, so amplitudes are stored by k in n + 1 slots.  One generator,
-`_padded_walk`, steps a batch of walks into blocks of steps, each row
-zero-padded to a width set by the step alone, and hands out finished
-blocks.  The metric paths collapse them through one block loop,
-`_collapsed_blocks`; `walk_batch`, the public engine, is a view of their
-rows, and `iter_steps` and `evolve` run it as a batch of one on complex
-U and V, each applied by the one mix rule `_mixed`, which `step` and
-`invariant`'s W use too.  Every metric depends only on r = |W00| of W = V U,
-so the metric paths walk the real coin [[a, b], [-b, a]] of (a, b) =
-(|W00|, |W01|) instead: the metric helpers of `entanglement` and `sweep`
-take a stack of those coins (`_real_coins`) alone.  A real step is one
-`np.matmul` of the coin stack with the whole padded row; its last bits
-follow the BLAS kernel, which may fuse each sum of two products into
-one rounding, so they are the same on one machine in any batch, block,
-chunk or worker, and may differ between CPUs.  One function,
-`collapse_metrics`, turns amplitudes into the outcome probability, the
-term count and the entropies, for one walk or a batch alike;
-`measure_spin` takes its P and N from it too.
+`_padded_walk`, steps a batch of walks into walk-major blocks of steps,
+each row zero-padded to a width set by the step alone, whose shift is a
+reshape (`_written`), and hands out finished blocks.  The metric paths
+collapse them through one block loop, `_collapsed_blocks`; `walk_batch`,
+the public engine, is a view of their rows, and `iter_steps` and
+`evolve` run it as a batch of one on complex U and V, each applied by
+the one mix rule `_mixed`, which `step` and `invariant`'s W use too.
+Every metric depends only on r = |W00| of W = V U, so the metric paths
+walk the real coin [[a, b], [-b, a]] of (a, b) = (|W00|, |W01|)
+instead: the metric helpers of `entanglement` and `sweep` take a stack
+of those coins (`_real_coins`) alone.  A real step is one `np.matmul`
+of the coin stack with the whole padded row; its last bits follow the
+BLAS kernel, which may fuse each sum of two products into one rounding,
+so they are the same on one machine in any batch, block, chunk or
+worker, and may differ between CPUs.  One function, `collapse_metrics`,
+turns amplitudes into the outcome probability, the term count and the
+entropies, for one walk or a batch alike; `measure_spin` takes its P
+and N from it too.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -420,14 +420,12 @@ def initial_state() -> WalkState:
 
 
 def _written(amps: np.ndarray) -> np.ndarray:
-    """The slots a step writes in (..., 2, B, width) amplitudes, as one
-    (..., 2, B, width - 1) view: up slots 1.. (an up output's last move
+    """The slots a step writes in walk-major (..., 2, width) amplitudes, as
+    one (..., 2, width - 1) view: each walk's 2 width - 2 slots after its
+    first, split in two, which are up slots 1.. (an up output's last move
     was up, so k >= 1), then down slots 0.. (a down output's was not)."""
-    *lead, _, b, width = amps.shape
-    *outer, row, walk, slot = amps.strides
-    return as_strided(
-        amps[..., 0, :, 1:], (*lead, 2, b, width - 1), (*outer, row - slot, walk, slot)
-    )
+    *lead, two, width = amps.shape
+    return amps.reshape(*lead, two * width)[..., 1:-1].reshape(*lead, two, width - 1)
 
 
 def _stepper(u: np.ndarray, v: np.ndarray | None):
@@ -440,13 +438,6 @@ def _stepper(u: np.ndarray, v: np.ndarray | None):
     if v is not None:
         return lambda src, out: _mixed(v, _mixed(u, src), out=out)
     return partial(np.matmul if u.dtype == np.float64 else _mixed, u)
-
-
-def _rows(buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walk-major (rows, B, 2, w - 1) views of a (rows, 2, B, w) buffer of
-    `_padded_walk`: the slots 0..w - 2 a step reads, and the `_written`
-    slots it writes."""
-    return buffer[..., :-1].transpose(0, 2, 1, 3), _written(buffer).transpose(0, 2, 1, 3)
 
 
 #: every step's rows are zero-padded to the next multiple of this width;
@@ -467,36 +458,36 @@ def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
     generator, and yield (n, block) once per finished block: the
     (steps, 2, B, w) amplitudes of consecutive steps ending at step n, at
     most `_BLOCK` amplitudes or one step, each row zero-padded to w = the
-    next multiple of `_WIDTH` above its step.
+    next multiple of `_WIDTH` above its step, viewing a walk-major buffer.
 
     A width class has one zeroed buffer of two halves of a block each,
     which the blocks fill in turn.  Every step is one call of
-    `_stepper`'s step from the row before it into the `_written` view of
-    the next row, both walk-major views of the whole padded width, made
-    once per buffer (`_rows`): each step writes every slot but up slot 0
-    and the last down slot, which stay zero, and the slots past its own
-    from zeros, so they are zero too.  The first step of a class reads
-    the row before it from a zero-padded copy, and the first after a mask
-    from a copy of the kept walks.  No step reads the row it writes, and
-    a block is overwritten by the next but one; collapse it before asking
-    for that.  A (B,) boolean mask sent for the next block keeps those
-    walks alone, in their order, cut from the last row, u and v.  Every
-    walk steps on its own rows with the same step at the same width, so
-    the kept walks' values do not change by a bit, nor do a walk's in any
-    batch or block.
+    `_stepper`'s step from the slots 0..w - 2 of the row before it into
+    the `_written` view of the next row, both views of the whole padded
+    width made once per buffer: each step writes every slot but up slot
+    0 and the last down slot, which stay zero, and the slots past its
+    own from zeros, so they are zero too.  The first step of a class
+    reads the row before it from a zero-padded copy, and the first after
+    a mask from a copy of the kept walks.  No step reads the row it
+    writes, and a block is overwritten by the next but one; collapse it
+    before asking for that.  A (B,) boolean mask sent for the next block
+    keeps those walks alone, in their order, cut from the last row, u
+    and v, in the buffer's first walks.  Every walk steps on its own rows
+    with the same step at the same width, so the kept walks' values do
+    not change by a bit, nor do a walk's in any batch or block.
     """
     b, top, advance = u.shape[0], n_steps + _WIDTH, _stepper(u, v)
     dtype = u.dtype if v is None else np.result_type(u, v)
-    last = np.zeros((2, b, 1), dtype)
-    last[0] = 1.0  # |up> (x) |0,0>, step 0
+    last = np.zeros((b, 2, 1), dtype)
+    last[:, 0] = 1.0  # |up> (x) |0,0>, step 0
     for w in range(_WIDTH, top + 1, _WIDTH):
         # the steps n of this width: w - _WIDTH < n + 1 <= w
         first, stop = max(1, w - _WIDTH), min(w, n_steps + 1)
         size = max(1, min(stop - first, _BLOCK // (2 * b * w)))
-        buffer = np.zeros((2 * size, 2, b, w), dtype)
-        ins, outs = _rows(buffer)
+        buffer = np.zeros((2 * size, b, 2, w), dtype)
+        ins, outs = buffer[..., :-1], _written(buffer)
         src = np.zeros((b, 2, w - 1), dtype)
-        src[..., : last.shape[-1]] = last.transpose(1, 0, 2)
+        src[..., : last.shape[-1]] = last
         del last  # the buffer it views can go before this class is stepped
         for i, start in enumerate(range(first, stop, size)):
             rows = range(i % 2 * size, i % 2 * size + min(size, stop - start))
@@ -504,12 +495,12 @@ def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
                 advance(src, out=outs[row])
                 src = ins[row]
             last = buffer[rows[-1]]
-            keep = yield start + len(rows) - 1, buffer[rows.start : rows.stop]
+            keep = yield start + len(rows) - 1, buffer[rows.start : rows.stop].swapaxes(1, 2)
             if keep is not None:
                 u, v = u[keep], None if v is None else v[keep]
                 b, advance = u.shape[0], _stepper(u, v)
-                buffer, last = buffer[:, :, :b], last[:, keep]
-                (ins, outs), src = _rows(buffer), last[..., : w - 1].transpose(1, 0, 2)
+                buffer, last = buffer[:, :b], last[keep]
+                ins, outs, src = buffer[..., :-1], _written(buffer), last[..., : w - 1]
 
 
 def walk_batch(
@@ -522,8 +513,8 @@ def walk_batch(
     alone is the mix, and a float64 u such as `_real_coins` walks in
     float64.  Yields (n, amps) after each of steps 1..n_steps, where amps
     is a (2, B, n + 1) view: row `Spin.row`, walk, then k = number of up
-    moves.  It views a row of a block of `_padded_walk`, which a later
-    block overwrites; copy what you keep.
+    moves.  It views a row of a block of `_padded_walk`, a walk-major
+    buffer that a later block overwrites; copy what you keep.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
@@ -535,9 +526,9 @@ def walk_batch(
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """Advance the walk by one coin + shift application."""
     src = np.stack([state.amps_up, state.amps_down])
-    dst = np.zeros((2, 1, state.step + 2), np.complex128)
-    _mixed(shift.matrix(), _mixed(coin.matrix(), src), out=_written(dst)[:, 0])
-    return WalkState(step=state.step + 1, amps_up=dst[0, 0], amps_down=dst[1, 0])
+    dst = np.zeros((2, state.step + 2), np.complex128)
+    _mixed(shift.matrix(), _mixed(coin.matrix(), src), out=_written(dst))
+    return WalkState(step=state.step + 1, amps_up=dst[0], amps_down=dst[1])
 
 
 def iter_steps(

@@ -161,8 +161,8 @@ class SweepSpec:
     alpha sweep always contains the exact balanced alpha when it lies
     inside [start, stop], because the averaged entanglement is
     discontinuous there.  A spec's range spans at most 10^7 grid steps,
-    and a per-step spec holds at most 2 x 10^7 rows (values x outcomes x
-    n_steps).
+    and a per-step spec gives at most 2 x 10^7 rows (values x outcomes x
+    n_steps), which bounds its run time: its rows stream, a chunk at a time.
     """
 
     coin_family: CoinFamily
@@ -200,7 +200,7 @@ class SweepSpec:
         minimum = 2 if self.mode is SweepMode.AVERAGED else 1
         if self.n_steps < minimum:
             raise ValueError(f"n_steps must be at least {minimum}, got {self.n_steps}")
-        if self.mode is SweepMode.PER_STEP:  # sweep_1d holds a row per value, outcome and step
+        if self.mode is SweepMode.PER_STEP:  # a row per value, outcome and step
             rows = self._size() * len(self.outcomes) * self.n_steps
             if rows > 2 * 10**7:  # what the value bound allows an averaged sweep
                 raise ValueError(f"per-step sweep gives {rows:,} rows, more than 2 x 10^7")
@@ -243,6 +243,13 @@ def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
     term count, entropy and normalized entanglement.  Row order follows
     the grid, then the spec's outcome order.
     """
+    rows = _sweep(spec)
+    return next(rows), list(rows)
+
+
+def _sweep(spec: SweepSpec) -> Iterator:
+    """The header of `sweep_1d`, then its rows as the chunks of `_scan`
+    finish; the first `next` raises what `sweep_1d` would, before a row."""
     n = spec.n_steps
     point = {"alpha": BALANCED_ALPHA, "beta_arg": 0.0, **spec.fixed}
     if spec.coin_family is not CoinFamily.GENERAL:
@@ -252,22 +259,22 @@ def sweep_1d(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
         raise ValueError("the general coin family needs rho, theta and eta")
     values = spec.values()
     coins = _real_coins(*(values if name == spec.swept else point[name] for name in PARAM_RANGES))
-    values, rows = values.tolist(), []
+    values = values.tolist()
     if spec.mode is SweepMode.AVERAGED:
-        header = [spec.swept, "outcome", f"avg_E_{n}"]
+        yield [spec.swept, "outcome", f"avg_E_{n}"]
         for start, (_, mean, _, _) in _scan(coins, n, _averaged):
             for value, means in zip(values[start : start + mean.shape[1]], mean.T.tolist()):
-                rows += [(value, outcome.value, means[outcome.row]) for outcome in spec.outcomes]
+                for outcome in spec.outcomes:
+                    yield value, outcome.value, means[outcome.row]
     else:
-        header = [spec.swept, "outcome", "step", "P", "N", "E_bits", "normalized_E"]
+        yield [spec.swept, "outcome", "step", "P", "N", "E_bits", "normalized_E"]
         for start, columns in _scan(coins, n, _metric_series):
             for j, value in enumerate(values[start : start + columns[0].shape[2]]):
                 for outcome in spec.outcomes:
                     metrics = (column[:, outcome.row, j].tolist() for column in columns)
-                    rows += (
+                    yield from (
                         (value, outcome.value, a, *m) for a, m in enumerate(zip(*metrics), start=1)
                     )
-    return header, rows
 
 
 class MaxEntanglementHit(NamedTuple):

@@ -319,6 +319,28 @@ class TestSweepBound:
         assert err.startswith("error: per-step sweep gives ") and "rows" in err
         assert not out_path.exists()
 
+    def test_a_general_coin_without_rho_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "sweep", "--coin", "general", "--sweep", "alpha",
+                             "--steps", "5", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "error: the general coin family needs rho, theta and eta\n"
+        assert not out_path.exists()
+
+    def test_a_sweep_holds_a_chunk_not_its_rows(self, tmp_path):
+        # 160,400 rows of 401 values, one chunk: their tuples in one list traced
+        # 33 MB; streamed, 12 MB, the chunk's series and their concatenation
+        argv = ["sweep", "--coin", "hadamard", "--sweep", "alpha", "--start", "0", "--stop",
+                "0.4", "--step", "0.001", "--steps", "200", "--mode", "per-step",
+                "--out", str(tmp_path / "rows.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
+
 
 class TestSearch:
     @pytest.mark.parametrize("grid", ["nan", "inf", "0", "-0.5"])

@@ -701,6 +701,27 @@ class TestRealStep:
         assert calls == [(4, 2, w - 1) for w in widths]
         assert len(buffers) == len(set(widths)) == 7
 
+    def test_every_step_writes_into_the_block(self, monkeypatch):
+        """The `out` of every step is a view of its row of the block that
+        `_padded_walk` yields next, before and after masks: `reshape`, which
+        `_written` views through, copies without a word where it cannot."""
+        coins, outs, matmul = self.coins(25), [], np.matmul  # 10 steps a block
+
+        def spy(coins, amps, out):
+            outs.append(out)
+            return matmul(coins, amps, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        walk, keep, end, blocks = _padded_walk(coins, None, self.N_STEPS), None, 0, 0
+        while end < self.N_STEPS:
+            outs.clear()
+            end, block = walk.send(keep)
+            assert len(outs) == len(block)
+            assert all(np.shares_memory(out, row) for out, row in zip(outs, block))
+            blocks += 1
+            keep = np.arange(block.shape[2]) % 3 != 1 if blocks in (2, 5) else None
+        assert blocks > 5 and block.shape[2] < 25
+
 
 class TestInitialState:
     def test_a_product_start_state_that_no_r_reproduces(self):
