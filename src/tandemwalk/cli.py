@@ -114,6 +114,8 @@ def _resolve_workers(value: int | None) -> int:
             return _positive_int(env)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"QRW_WORKERS {exc}") from None
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -442,10 +444,10 @@ def _suite_unitarity(samples: int, rng) -> tuple[list[str], float]:
 
 def _engine_residual(coin: CoinOperator, shift: ShiftOperator, n_steps: int = 800) -> float:
     """Largest difference of P, N, E or normalized E over every step and
-    outcome between the complex walk of U and V and the real walk of r."""
-    full = walk_batch(coin.matrix()[None], shift.matrix()[None], n_steps)
-    real = walk_batch(_real_coins(**vars(coin), **vars(shift)), None, n_steps)
-    pairs = (zip(collapse_metrics(x), collapse_metrics(y)) for (_, x), (_, y) in zip(full, real))
+    outcome between the reference walk `iter_steps` and the real walk of r."""
+    full = (np.stack([s.amps_up, s.amps_down]) for s in iter_steps(coin, shift, n_steps))
+    real = (amps[:, 0] for _, amps in walk_batch(_real_coins(**vars(coin), **vars(shift)), n_steps))
+    pairs = (zip(collapse_metrics(x), collapse_metrics(y)) for x, y in zip(full, real))
     return max(float(np.max(np.abs(x - y))) for pair in pairs for x, y in pair)
 
 
@@ -482,7 +484,7 @@ def _suite_oracle(samples: int, rng) -> tuple[list[str], float]:
 
 
 def _suite_special_points(n_steps: int = 500) -> tuple[list[str], float]:
-    """Chains and the bounce, on the complex walk and on the real walk of
+    """Chains and the bounce, on the reference walk and on the real walk of
     r that every CSV comes from.  The residual is the largest deviation
     of a chain amplitude's modulus from 1, of a chain's P_down from 0, or
     of a bounce amplitude beside the one that carries the state from 0
@@ -605,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="entanglement counts as maximal above 1 - this tolerance",
     )
     p_search.add_argument(
-        "--workers", type=_positive_int, help="process count (QRW_WORKERS, then cores)"
+        "--workers", type=_positive_int, help="process count (QRW_WORKERS, then usable CPUs)"
     )
 
     p_verify = sub.add_parser("verify", help="run the correctness suites")

@@ -14,24 +14,24 @@ amplitudes carry the walker-walker entanglement.
 
 After n steps the pair can only sit at sites 2k - n, where k counts the
 up moves, so amplitudes are stored by k in n + 1 slots.  One generator,
-`_padded_walk`, steps a batch of walks into walk-major blocks of steps,
-each row zero-padded to a width set by the step alone, whose shift is a
-reshape (`_written`), and hands out finished blocks.  The metric paths
-collapse them through one block loop, `_collapsed_blocks`; `walk_batch`,
-the public engine, is a view of their rows, and `iter_steps` and
-`evolve` run it as a batch of one on complex U and V, each applied by
-the one mix rule `_mixed`, which `step` and `invariant`'s W use too.
-Every metric depends only on r = |W00| of W = V U, so the metric paths
-walk the real coin [[a, b], [-b, a]] of (a, b) = (|W00|, |W01|)
-instead: the metric helpers of `entanglement` and `sweep` take a stack
-of those coins (`_real_coins`) alone.  A real step is one `np.matmul`
-of the coin stack with the whole padded row; its last bits follow the
+`_padded_walk`, steps a (B, 2, 2) stack of mixes, one `np.matmul` per
+step, into walk-major blocks of steps, each row zero-padded to a width
+set by the step alone, whose shift is a reshape (`_written`), and hands
+out finished blocks.  The metric paths collapse them through one block
+loop, `_collapsed_blocks`; `walk_batch`, the public engine, is a view of
+their rows.  Every metric depends only on r = |W00| of W = V U, so the
+metric paths walk the real coin [[a, b], [-b, a]] of (a, b) = (|W00|,
+|W01|): the metric helpers of `entanglement` and `sweep` take a stack of
+those coins (`_real_coins`) alone.  A real step's last bits follow the
 BLAS kernel, which may fuse each sum of two products into one rounding,
 so they are the same on one machine in any batch, block, chunk or
-worker, and may differ between CPUs.  One function, `collapse_metrics`,
-turns amplitudes into the outcome probability, the term count and the
-entropies, for one walk or a batch alike; `measure_spin` takes its P
-and N from it too.
+worker, and may differ between CPUs.  `step`, `iter_steps` and `evolve`
+walk U and then V unpadded, by the reference step `_stepped` through the
+one mix rule `_mixed` (which `invariant`'s W uses too); it shares only
+`_written` with the engine, which `verify` checks against it.  One
+function, `collapse_metrics`, turns amplitudes into the outcome
+probability, the term count and the entropies, for one walk or a batch
+alike; `measure_spin` takes its P and N from it too.
 """
 
 import numpy as np
@@ -166,9 +166,9 @@ def shift_matrices(alpha, beta_arg) -> np.ndarray:
 def _mixed(m: np.ndarray, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The rows (m00 up + m01 down, m10 up + m11 down) of (..., 2, k)
     amplitudes (up, down) under a (..., 2, 2) mix m, into out if given:
-    the one rule that applies a complex 2x2 mix.  Each product is rounded
-    on its own, so the two products of a dead slot of the chains and the
-    bounce are exact negatives, whose sum is 0.  A fused product
+    the mix rule of `_stepped` and of `invariant`'s W.  Each product is
+    rounded on its own, so the two products of a dead slot of the chains
+    and the bounce are exact negatives, whose sum is 0.  A fused product
     (`np.matmul`: zgemm, with FMA) leaks rounding into those slots, and
     multiplying U and V into one mix first keeps them at 0 but drifts a
     chain's modulus by a rounding per step (1.1e-13 after 500 steps).
@@ -182,7 +182,7 @@ def invariant(rho, theta, eta, alpha, beta_arg):
     A global phase and a rephasing of |down> take W to the real coin
     [[a, b], [-b, a]], which walks with the same moduli, so every metric
     depends on r = a alone.  W's first row is V's first row mixing U's
-    rows through `_mixed`, as the engine applies them, so b is exactly 0
+    rows through `_mixed`, as `_stepped` applies them, so b is exactly 0
     at the product-state chains and a at the kempe bounce; (a, b) is
     divided by its norm, so a^2 + b^2 = 1 to rounding.
     """
@@ -195,7 +195,7 @@ def invariant(rho, theta, eta, alpha, beta_arg):
 
 def _real_coins(rho, theta, eta, alpha, beta_arg) -> np.ndarray:
     """(B, 2, 2) float64 stack of the real coins [[a, b], [-b, a]] of
-    `invariant`, which `walk_batch(u, None, n)` walks."""
+    `invariant`, which `walk_batch(coins, n)` walks."""
     a, b = invariant(rho, theta, eta, alpha, beta_arg)
     return np.stack([a, b, -b, a], axis=-1).reshape(-1, 2, 2)
 
@@ -428,16 +428,14 @@ def _written(amps: np.ndarray) -> np.ndarray:
     return amps.reshape(*lead, two * width)[..., 1:-1].reshape(*lead, two, width - 1)
 
 
-def _stepper(u: np.ndarray, v: np.ndarray | None):
-    """The step of `_padded_walk` for the (B, 2, 2) stacks u and v: a
-    callable (src, out=...) that writes the next step from src into out,
-    walk-major (B, 2, k) views.  The real walk, a float64 u and no v,
-    steps by one `np.matmul`: at r = 1 and r = 0 one product of every sum
-    is an exact 0, so its zeros stay exact however the kernel rounds.
-    Any other walk mixes u and then v through `_mixed`."""
-    if v is not None:
-        return lambda src, out: _mixed(v, _mixed(u, src), out=out)
-    return partial(np.matmul if u.dtype == np.float64 else _mixed, u)
+def _stepped(amps: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The reference step: (..., 2, k) amplitudes after one more step,
+    (..., 2, k + 1), U's mix and then V's through `_mixed` into the
+    `_written` slots of zeros, for one walk or a (B, 2, 2) stack of each.
+    It shares nothing else with `_padded_walk`: no padding, no blocks."""
+    out = np.zeros((*amps.shape[:-1], amps.shape[-1] + 1), np.complex128)
+    _mixed(v, _mixed(u, amps), out=_written(out))
+    return out
 
 
 #: every step's rows are zero-padded to the next multiple of this width;
@@ -453,17 +451,17 @@ _WIDTH = 32
 _BLOCK = 1 << 14
 
 
-def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
-    """Step the walks of `walk_batch(u, v, n_steps)`, the one stepping
+def _padded_walk(coins: np.ndarray, n_steps: int):
+    """Step the walks of `walk_batch(coins, n_steps)`, the one stepping
     generator, and yield (n, block) once per finished block: the
     (steps, 2, B, w) amplitudes of consecutive steps ending at step n, at
     most `_BLOCK` amplitudes or one step, each row zero-padded to w = the
     next multiple of `_WIDTH` above its step, viewing a walk-major buffer.
 
     A width class has one zeroed buffer of two halves of a block each,
-    which the blocks fill in turn.  Every step is one call of
-    `_stepper`'s step from the slots 0..w - 2 of the row before it into
-    the `_written` view of the next row, both views of the whole padded
+    which the blocks fill in turn.  Every step is one `np.matmul` of
+    coins with the slots 0..w - 2 of the row before it into the
+    `_written` view of the next row, both views of the whole padded
     width made once per buffer: each step writes every slot but up slot
     0 and the last down slot, which stay zero, and the slots past its
     own from zeros, so they are zero too.  The first step of a class
@@ -471,22 +469,22 @@ def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
     a mask from a copy of the kept walks.  No step reads the row it
     writes, and a block is overwritten by the next but one; collapse it
     before asking for that.  A (B,) boolean mask sent for the next block
-    keeps those walks alone, in their order, cut from the last row, u
-    and v, in the buffer's first walks.  Every walk steps on its own rows
+    keeps those walks alone, in their order, cut from the last row and
+    coins, in the buffer's first walks.  Every walk steps on its own rows
     with the same step at the same width, so the kept walks' values do
-    not change by a bit, nor do a walk's in any batch or block.
+    not change by a bit, nor do a walk's in any batch or block.  At r = 1
+    and r = 0 one product of every real sum is 0, so its zeros stay exact.
     """
-    b, top, advance = u.shape[0], n_steps + _WIDTH, _stepper(u, v)
-    dtype = u.dtype if v is None else np.result_type(u, v)
-    last = np.zeros((b, 2, 1), dtype)
+    b, top, advance = coins.shape[0], n_steps + _WIDTH, partial(np.matmul, coins)
+    last = np.zeros((b, 2, 1), coins.dtype)
     last[:, 0] = 1.0  # |up> (x) |0,0>, step 0
     for w in range(_WIDTH, top + 1, _WIDTH):
         # the steps n of this width: w - _WIDTH < n + 1 <= w
         first, stop = max(1, w - _WIDTH), min(w, n_steps + 1)
         size = max(1, min(stop - first, _BLOCK // (2 * b * w)))
-        buffer = np.zeros((2 * size, b, 2, w), dtype)
+        buffer = np.zeros((2 * size, b, 2, w), coins.dtype)
         ins, outs = buffer[..., :-1], _written(buffer)
-        src = np.zeros((b, 2, w - 1), dtype)
+        src = np.zeros((b, 2, w - 1), coins.dtype)
         src[..., : last.shape[-1]] = last
         del last  # the buffer it views can go before this class is stepped
         for i, start in enumerate(range(first, stop, size)):
@@ -497,46 +495,45 @@ def _padded_walk(u: np.ndarray, v: np.ndarray | None, n_steps: int):
             last = buffer[rows[-1]]
             keep = yield start + len(rows) - 1, buffer[rows.start : rows.stop].swapaxes(1, 2)
             if keep is not None:
-                u, v = u[keep], None if v is None else v[keep]
-                b, advance = u.shape[0], _stepper(u, v)
+                coins = coins[keep]
+                b, advance = coins.shape[0], partial(np.matmul, coins)
                 buffer, last = buffer[:, :b], last[keep]
                 ins, outs, src = buffer[..., :-1], _written(buffer), last[..., : w - 1]
 
 
-def walk_batch(
-    u: np.ndarray, v: np.ndarray | None, n_steps: int
-) -> Iterator[tuple[int, np.ndarray]]:
+def walk_batch(coins: np.ndarray, n_steps: int) -> Iterator[tuple[int, np.ndarray]]:
     """Evolve a batch of walks from |up> (x) |0,0>, the one evolution engine.
 
-    u and v are (B, 2, 2) stacks of coin and shift matrices, walked in
-    their common dtype (complex128 for `coin_matrices`).  With v None, u
-    alone is the mix, and a float64 u such as `_real_coins` walks in
-    float64.  Yields (n, amps) after each of steps 1..n_steps, where amps
-    is a (2, B, n + 1) view: row `Spin.row`, walk, then k = number of up
-    moves.  It views a row of a block of `_padded_walk`, a walk-major
-    buffer that a later block overwrites; copy what you keep.
+    coins is a (B, 2, 2) stack of mixes, such as `_real_coins` or complex
+    W = V U, each step one `np.matmul` in its dtype.  Yields (n, amps)
+    after each of steps 1..n_steps, where amps is a (2, B, n + 1) view:
+    row `Spin.row`, walk, then k = number of up moves.  It views a row of
+    a block of `_padded_walk`, a walk-major buffer that a later block
+    overwrites; copy what you keep.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    for n, block in _padded_walk(u, v, n_steps):
+    for n, block in _padded_walk(coins, n_steps):
         for a, row in enumerate(block, start=n + 1 - len(block)):
             yield a, row[:, :, : a + 1]
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
-    """Advance the walk by one coin + shift application."""
+    """Advance the walk by one coin + shift application (`_stepped`)."""
     src = np.stack([state.amps_up, state.amps_down])
-    dst = np.zeros((2, state.step + 2), np.complex128)
-    _mixed(shift.matrix(), _mixed(coin.matrix(), src), out=_written(dst))
-    return WalkState(step=state.step + 1, amps_up=dst[0], amps_down=dst[1])
+    return WalkState(state.step + 1, *_stepped(src, coin.matrix(), shift.matrix()))
 
 
-def iter_steps(
-    coin: CoinOperator, shift: ShiftOperator, n_steps: int
-) -> Iterator[WalkState]:
-    """Yield the walk state after each of steps 1..n_steps."""
-    for n, amps in walk_batch(coin.matrix()[None], shift.matrix()[None], n_steps):
-        yield WalkState(step=n, amps_up=amps[0, 0].copy(), amps_down=amps[1, 0].copy())
+def iter_steps(coin: CoinOperator, shift: ShiftOperator, n_steps: int) -> Iterator[WalkState]:
+    """Yield the walk state after each of steps 1..n_steps: U and then V
+    by the reference step `_stepped`, which `verify` checks `walk_batch`
+    against."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    u, v, amps = coin.matrix(), shift.matrix(), np.eye(2, 1, dtype=np.complex128)
+    for n in range(1, n_steps + 1):
+        amps = _stepped(amps, u, v)
+        yield WalkState(n, *amps)
 
 
 def evolve(coin: CoinOperator, shift: ShiftOperator, n_steps: int) -> WalkState:
@@ -612,7 +609,7 @@ def _collapsed_blocks(coins: np.ndarray, n_steps: int):
     zero in every row, so P, N and E keep the bits of the padded width.
     A (B,) boolean mask sent after a block goes on to `_padded_walk`.
     """
-    walk, keep, n = _padded_walk(coins, None, n_steps), None, 0
+    walk, keep, n = _padded_walk(coins, n_steps), None, 0
     while n < n_steps:
         n, block = walk.send(keep)
         if block.shape[-1] <= _PARTIALS:

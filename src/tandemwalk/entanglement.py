@@ -12,14 +12,14 @@ average (`_averaged`) live here alone, over a batch of walks: the public
 functions run a batch of one, and `sweep` and the CLI index the same
 arrays.  Each measure depends only on r (`core.invariant`), so the helpers
 take one input, a (B, 2, 2) float64 stack of real coins of r
-(`core._real_coins`), never the complex U and V; the two walks give the
-same metrics to rounding.  Both collapse the rows of `core._padded_walk`,
-zero-padded to a width set by the step alone, a finished block of steps
-per call, through the one block loop `core._collapsed_blocks`: the series
-stacks the blocks, and the average adds each block's rows in step order
-and drops dead walks at the block's end.  So a walk's values do not
-depend on its batch or block, and the average is the mean of the
-series, summed step by step, to the bit.
+(`core._real_coins`), never the complex U and V, whose reference walk
+(`core.iter_steps`) agrees to rounding.  Both collapse the rows of
+`core._padded_walk`, one `np.matmul` a step, zero-padded to a width set by
+the step alone, a finished block of steps per call, through the one block
+loop `core._collapsed_blocks`: the series stacks the blocks, and the
+average adds each block's rows in step order and drops dead walks at the
+block's end.  A walk's values do not depend on its batch or block, and the
+average is the mean of the series, summed step by step, to the bit.
 """
 
 import numpy as np

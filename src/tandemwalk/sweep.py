@@ -5,7 +5,7 @@ All three are one scan, `_scan`, of a (P, 2, 2) float64 stack of real
 coins of r (`core.invariant`), plus a reducer: every metric depends on r
 alone.  The scan cuts the stack into chunks of consecutive coins, sized
 so memory stays bounded, and the reducer evolves each chunk through the
-one stepping generator in `core` (`_padded_walk` in float64), whose
+one stepping generator in `core` (`_padded_walk`, a matmul a step), whose
 finished blocks one block loop collapses (`core._collapsed_blocks`),
 into rows or hits, so rows and hits carry the bits of the walk's series.
 A sweep scans the coins of its swept values with `entanglement`'s

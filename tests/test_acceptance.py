@@ -34,7 +34,8 @@ from tandemwalk import (
     walk_entanglement_series,
     z_coin,
 )
-from tandemwalk.core import coin_matrices, collapse_metrics, shift_matrices, walk_batch
+from tandemwalk.core import coin_matrices, collapse_metrics, shift_matrices
+from test_core import stepped_batch
 
 QUARTER = np.pi / 2
 NEAR_BALANCED = 0.7071067812  # close to, but not exactly, the balanced point
@@ -122,7 +123,7 @@ def test_criterion_02_oracle_equivalence():
 
 def _down_slice_maximal(params):
     u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
-    for _a, amps in walk_batch(u, v, 2):
+    for _a, amps in stepped_batch(u, v, 2):
         metrics = collapse_metrics(amps)
     prob = metrics.probability[Spin.DOWN.row]
     cal = metrics.normalized[Spin.DOWN.row]

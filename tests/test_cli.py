@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tandemwalk.cli as cli
+import tandemwalk.core as core
 import tandemwalk.sweep as sweep
 from tandemwalk import (
     BALANCED_ALPHA,
@@ -593,6 +594,23 @@ class TestVerify:
             worst = float(line.split("(worst ")[1].rstrip(")"))
             assert 0.0 <= worst < 1e-12
 
+    def test_oracle_catches_a_fault_in_the_engine(self, capsys, monkeypatch):
+        """Negative control: the oracle suite checks the engine against the
+        reference walk of U and V, which shares no blocks with it, so a
+        fault of 1e-9 in the last row of every block from step 64 on fails."""
+        padded_walk = core._padded_walk
+
+        def faulty(coins, n_steps):
+            for n, block in padded_walk(coins, n_steps):
+                if n >= 64:
+                    block[-1] *= 1 + 1e-9
+                yield n, block
+
+        monkeypatch.setattr(core, "_padded_walk", faulty)
+        code, out, err = run(capsys, "verify", "--suite", "oracle", "--samples", "3")
+        assert code == 1 and out.startswith("oracle: FAIL")
+        assert "real walk differs" in err
+
     def test_special_points_check_the_real_walk(self, capsys, monkeypatch):
         """The CSVs come from the real walk of r: a real coin nudged off the
         chains by 1e-9 must fail the suite even though the complex walk holds."""
@@ -647,6 +665,21 @@ class TestConfigAndEnv:
             "--grid", "0.5", "--steps", "5",
         )
         assert code == 0
+
+    def test_worker_default_counts_the_usable_cpus(self, monkeypatch):
+        """A process pinned to one CPU of a 64-CPU host defaults to one worker."""
+        monkeypatch.delenv("QRW_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._resolve_workers(None) == 1
+
+    def test_worker_default_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("QRW_WORKERS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._resolve_workers(None) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._resolve_workers(None) == 1
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

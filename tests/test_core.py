@@ -36,6 +36,17 @@ from tandemwalk.entanglement import _metric_series
 QUARTER = np.pi / 2
 
 
+def stepped_batch(u, v, n_steps):
+    """The complex walks of the (B, 2, 2) stacks u and v by the reference
+    step `core._stepped`: (n, amps) after each step, with amps (2, B, n + 1)
+    as `walk_batch` yields them."""
+    amps = np.zeros((len(u), 2, 1), np.complex128)
+    amps[:, Spin.UP.row] = 1.0
+    for n in range(1, n_steps + 1):
+        amps = core._stepped(amps, u, v)
+        yield n, amps.swapaxes(0, 1)
+
+
 def reference_walk(coin_matrix, alpha, beta, n_steps):
     """Dict-based brute-force walk, independent of the array engine."""
     amps = {(Spin.UP, 0): 1.0 + 0.0j}
@@ -388,7 +399,7 @@ class TestCollapseBits:
     def test_walk_rows_match_the_reference(self):
         rng = np.random.default_rng(83)
         coin, shift = random_operators(rng)
-        for _, amps in walk_batch(coin.matrix()[None], shift.matrix()[None], 60):
+        for _, amps in stepped_batch(coin.matrix()[None], shift.matrix()[None], 60):
             for got, want in zip(collapse_metrics(amps), reference_collapse(amps)):
                 assert np.array_equal(got, want)
 
@@ -436,7 +447,7 @@ class TestConjugationSymmetry:
         v = shift_matrices(np.tile(alpha, 2), np.r_[beta_arg, mirror_arg])
         assert np.allclose(u[20:], u[:20].conj(), atol=1e-15)
         assert np.allclose(v[20:], v[:20].conj(), atol=1e-15)
-        for _, amps in walk_batch(u, v, 200):
+        for _, amps in stepped_batch(u, v, 200):
             metrics = collapse_metrics(amps)
             assert np.array_equal(metrics.term_count[:, :20], metrics.term_count[:, 20:])
             for values in (metrics.probability, metrics.entropy, metrics.normalized):
@@ -456,7 +467,7 @@ class TestInvariantEdges:
         phase = np.r_[theta + eta + np.pi, theta + eta]
         v = shift_matrices(np.r_[np.sqrt(rho), np.sqrt(1 - rho)], np.mod(phase, 2 * np.pi))
         walks = np.arange(80)
-        for _, amps in walk_batch(u, v, 200):
+        for _, amps in stepped_batch(u, v, 200):
             metrics = collapse_metrics(amps)
             likelier = np.argmax(metrics.probability, axis=0)
             assert np.max(np.abs(metrics.probability[likelier, walks] - 1.0)) < 1e-12
@@ -467,7 +478,7 @@ class TestInvariantEdges:
 def collapsed_series(u, v, n_steps):
     """`collapse_metrics` of each step of the complex walks of u and v,
     each field stacked into an (n_steps, 2, B) array like `_metric_series`."""
-    steps = [collapse_metrics(amps) for _, amps in walk_batch(u, v, n_steps)]
+    steps = [collapse_metrics(amps) for _, amps in stepped_batch(u, v, n_steps)]
     return CollapseMetrics(*map(np.stack, zip(*steps)))
 
 
@@ -517,7 +528,7 @@ class TestRealWalk:
 
     def test_equal_r_gives_equal_series(self):
         """theta and eta enter r only through theta + eta: split one sum four
-        ways, walk the complex engine and collapse each step."""
+        ways, walk the reference step and collapse each step."""
         rng = np.random.default_rng(43)
         rho, alpha, beta_arg = rng.uniform(0, 1, 5), rng.uniform(0, 1, 5), rng.uniform(0, 6, 5)
         total = rng.uniform(0, np.pi, 5)
@@ -538,9 +549,17 @@ class TestRealWalk:
         real = _real_coins(*params)
         assert real.dtype == np.float64
         assert_same_series(_metric_series(real, n), collapsed_series(u, v, n))
-        for (_, full), (_, amps) in zip(walk_batch(u, v, n), walk_batch(real, None, n)):
+        for (_, full), (_, amps) in zip(stepped_batch(u, v, n), walk_batch(real, n)):
             assert amps.dtype == np.float64
             assert_same_series(collapse_metrics(amps), collapse_metrics(full))
+
+    def test_a_complex_stack_walks_like_the_reference(self):
+        """The engine walks a complex stack W = V U too, one `np.matmul` a
+        step, within rounding of the reference's U and then V."""
+        _, u, v = self.stacks(20, seed=17)
+        for (_, full), (_, amps) in zip(stepped_batch(u, v, 200), walk_batch(v @ u, 200)):
+            assert amps.dtype == np.complex128
+            assert np.max(np.abs(amps - full)) <= 1e-12
 
     def test_chains_and_bounce_stay_exact_to_step_800(self):
         series = _metric_series(_real_coins(*self.special_params()), 800)
@@ -563,8 +582,8 @@ class TestRealWalk:
         p1, p2 = w[:, 0, 0] / a, -w[:, 1, 0] / b
         e2 = w[:, 0, 1] * a / (w[:, 0, 0] * b) * p2
         along = (p1 / e2)[:, None] ** np.arange(n + 1)  # e^{i delta k}, (B, n + 1)
-        worst, real_walk = 0.0, walk_batch(_real_coins(*params), None, n)
-        for (m, full), (_, real) in zip(walk_batch(u, v, n), real_walk):
+        worst, real_walk = 0.0, walk_batch(_real_coins(*params), n)
+        for (m, full), (_, real) in zip(stepped_batch(u, v, n), real_walk):
             up = e2[:, None] ** m * along[:, : m + 1] * real[Spin.UP.row]
             down = (e2 ** (m - 1) * p2)[:, None] * along[:, : m + 1] * real[Spin.DOWN.row]
             worst = max(worst, np.max(np.abs(full - np.stack([up, down]))))
@@ -572,8 +591,8 @@ class TestRealWalk:
 
 
 class TestOneMixRule:
-    """`core._mixed` applies every complex 2x2 mix: the complex walk's
-    coin and shift, `step`, and W in `invariant`."""
+    """`core._mixed` is the one mix rule of the reference step
+    `core._stepped`, which `step` takes too, and of W in `invariant`."""
 
     def test_invariants_w_is_the_walks_w(self):
         """The step-1 amplitudes of the complex walk are column 0 of W = V U
@@ -582,7 +601,7 @@ class TestOneMixRule:
         params = np.c_[np.array(params), TestRealWalk().special_params()]
         u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
         w = core._mixed(v, u)
-        (_, amps), = walk_batch(u, v, 1)
+        (_, amps), = stepped_batch(u, v, 1)
         assert amps[Spin.UP.row, :, 1].tobytes() == w[:, 0, 0].tobytes()
         assert amps[Spin.DOWN.row, :, 0].tobytes() == w[:, 1, 0].tobytes()
         moduli = np.abs(w[:, 0]).T  # |W00|, |W01|
@@ -596,7 +615,7 @@ class TestOneMixRule:
         rounding per step."""
         chains = TestRealWalk().special_params()[:, :2]
         u, v = coin_matrices(*chains[:3]), shift_matrices(*chains[3:])
-        for n, amps in walk_batch(u, v, 500):
+        for n, amps in stepped_batch(u, v, 500):
             assert np.all(np.abs(np.abs(amps[Spin.UP.row, :, n]) - 1.0) <= 1e-15), n
             assert np.all(collapse_metrics(amps).probability[Spin.DOWN.row] == 0.0), n
         assert n == 500
@@ -611,10 +630,10 @@ class TestWalkBatchMasks:
         for walks in (12, 600):  # 600 walks step one step per block
             params, _, _ = TestRealWalk.stacks(walks, seed=3)
             coins, n = _real_coins(*params), 70
-            full = [amps.copy() for _, amps in walk_batch(coins, None, n)]
+            full = [amps.copy() for _, amps in walk_batch(coins, n)]
             rng = np.random.default_rng(3)
             kept, keep, blocks, a = np.arange(walks), None, 0, 0
-            walk = _padded_walk(coins, None, n)
+            walk = _padded_walk(coins, n)
             while a < n:
                 a, block = walk.send(keep)
                 blocks += 1
@@ -654,7 +673,7 @@ class TestRealStep:
         from step 41 on.  Checks each block's padding on the way."""
         n, b = self.N_STEPS, coins.shape[0]
         fields = [np.full((n, 2, b), np.nan) for _ in CollapseMetrics._fields]
-        kept, keep, end, walk = np.arange(b), None, 0, _padded_walk(coins, None, n)
+        kept, keep, end, walk = np.arange(b), None, 0, _padded_walk(coins, n)
         masked = False
         while end < n:
             end, block = walk.send(keep)
@@ -712,7 +731,7 @@ class TestRealStep:
             return matmul(coins, amps, out=out)
 
         monkeypatch.setattr(np, "matmul", spy)
-        walk, keep, end, blocks = _padded_walk(coins, None, self.N_STEPS), None, 0, 0
+        walk, keep, end, blocks = _padded_walk(coins, self.N_STEPS), None, 0, 0
         while end < self.N_STEPS:
             outs.clear()
             end, block = walk.send(keep)
@@ -737,7 +756,7 @@ class TestInitialState:
         r = np.linspace(0.0, 1.0, 2001)
         real = np.stack([r, np.sqrt(1 - r * r), -np.sqrt(1 - r * r), r], axis=-1)
         worst = np.zeros(r.size)
-        for _, amps in walk_batch(real.reshape(-1, 2, 2), None, 40):
+        for _, amps in walk_batch(real.reshape(-1, 2, 2), 40):
             p_up = collapse_metrics(amps).probability[Spin.UP.row]
             worst = np.maximum(worst, np.abs(p_up - 0.5))
         assert worst.min() > 0.23

@@ -273,7 +273,7 @@ def _padded_blocks(coins, n):
     """The finished blocks of `_padded_walk`, which `_metric_series`
     collapses, at the `_BLOCK` it reads when called; each is overwritten
     by the next."""
-    return (block for _, block in _padded_walk(coins, None, n))
+    return (block for _, block in _padded_walk(coins, n))
 
 
 def _collapsed_shapes(monkeypatch):
@@ -293,7 +293,7 @@ def _padded_steps(coins, n):
     """`collapse_metrics` of each step of `walk_batch`, its rows zero-padded
     to the step's `_WIDTH` class, stacked as `_metric_series` stacks them."""
     steps = []
-    for a, amps in walk_batch(coins, None, n):
+    for a, amps in walk_batch(coins, n):
         width = -(-(a + 1) // core._WIDTH) * core._WIDTH
         padded = np.zeros(amps.shape[:-1] + (width,))
         padded[..., : a + 1] = amps
@@ -309,7 +309,7 @@ class TestBlockedSeries:
     def test_matches_a_collapse_per_step(self, n):
         coins = _walks(4, seed=n)
         series = _metric_series(coins, n)
-        steps = [collapse_metrics(amps) for _, amps in walk_batch(coins, None, n)]
+        steps = [collapse_metrics(amps) for _, amps in walk_batch(coins, n)]
         for blocked, field in zip(series, zip(*steps)):
             exact = np.stack(field)
             assert blocked.shape == exact.shape == (n, 2, coins.shape[0])

@@ -18,8 +18,10 @@ from tandemwalk import (
     Spin,
     TERM_THRESHOLD,
     collapse_metrics,
+    iter_steps,
     walk_batch,
 )
+from tandemwalk.core import _real_coins
 
 N_STEPS = 200
 COIN = ((3, 0), (4, 0)), ((-4, 0), (3, 0))
@@ -65,22 +67,26 @@ def exact_series(shift, n_steps):
 
 @pytest.mark.parametrize("beta_arg", sorted(SHIFTS))
 def test_engine_matches_exact_walk_to_step_200(beta_arg):
+    """The reference walk of U and V (`iter_steps`) and the engine's real
+    walk of r both match the exact walk."""
     coin = CoinOperator(rho=9 / 25, theta=0.0, eta=0.0)
     shift = ShiftOperator(alpha=3 / 5, beta_arg=beta_arg)
-    engine = walk_batch(coin.matrix()[None], shift.matrix()[None], N_STEPS)
+    states = iter_steps(coin, shift, N_STEPS)
+    engine = walk_batch(_real_coins(**vars(coin), **vars(shift)), N_STEPS)
     assert TERM_THRESHOLD == 1e-10
     worst = 0.0
-    for (n, amps), (m, exact) in zip(engine, exact_series(SHIFTS[beta_arg], N_STEPS)):
-        assert n == m
-        got = collapse_metrics(amps[:, 0])
-        for spin in Spin:
-            p, n_terms, e_bits, cal = exact[spin.row]
-            assert got.term_count[spin.row] == n_terms, (n, spin)
-            worst = max(
-                worst,
-                abs(got.probability[spin.row] - p),
-                abs(got.entropy[spin.row] - e_bits),
-                abs(got.normalized[spin.row] - cal),
-            )
+    for state, (n, real), (m, exact) in zip(states, engine, exact_series(SHIFTS[beta_arg], N_STEPS)):
+        assert state.step == n == m
+        for amps in (np.stack([state.amps_up, state.amps_down]), real[:, 0]):
+            got = collapse_metrics(amps)
+            for spin in Spin:
+                p, n_terms, e_bits, cal = exact[spin.row]
+                assert got.term_count[spin.row] == n_terms, (n, spin)
+                worst = max(
+                    worst,
+                    abs(got.probability[spin.row] - p),
+                    abs(got.entropy[spin.row] - e_bits),
+                    abs(got.normalized[spin.row] - cal),
+                )
     assert n == N_STEPS
     assert worst < 1e-12

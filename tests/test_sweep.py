@@ -30,10 +30,9 @@ from tandemwalk.core import (
     coin_matrices,
     collapse_metrics,
     shift_matrices,
-    walk_batch,
 )
 
-from test_core import reference_walk
+from test_core import reference_walk, stepped_batch
 
 
 class TestGridAxis:
@@ -363,9 +362,9 @@ class TestDistinctCoins:
     def test_walk_batch_walks_the_distinct_coins(self, monkeypatch, search):
         batches, searched = [], []
         # the reducers step through core._padded_walk, in core._collapsed_blocks
-        def spy(coins, v, n_steps, walk=core._padded_walk):
+        def spy(coins, n_steps, walk=core._padded_walk):
             batches.append(coins)
-            return walk(coins, v, n_steps)
+            return walk(coins, n_steps)
 
         def distinct_coins(axes, distinct=sweep._distinct_coins):
             searched.append(_real_coins(*sweep._points(axes)))
@@ -470,13 +469,13 @@ class TestBatchEngine:
             rng.uniform(0, 2 * np.pi, size),
         ]
         u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
-        batch = {a: collapse_metrics(amps) for a, amps in walk_batch(u, v, 8)}
+        batch = {a: collapse_metrics(amps) for a, amps in stepped_batch(u, v, 8)}
         for i in range(size):
             coin = CoinOperator(rho=params[0][i], theta=params[1][i], eta=params[2][i])
             shift = ShiftOperator(alpha=params[3][i], beta_arg=params[4][i])
             single = {
                 a: collapse_metrics(amps)
-                for a, amps in walk_batch(coin.matrix()[None], shift.matrix()[None], 8)
+                for a, amps in stepped_batch(coin.matrix()[None], shift.matrix()[None], 8)
             }
             for a in range(1, 9):
                 expected = reference_walk(coin.matrix(), shift.alpha, shift.beta, a)
@@ -745,7 +744,7 @@ class TestKeyedSearch:
             chunk = [p[lo:lo + (1 << 15)] for p in points]
             u, v = coin_matrices(*chunk[:3]), shift_matrices(*chunk[3:])
             total, min_p = 0.0, 1.0
-            for a, amps in walk_batch(u, v, n):
+            for a, amps in stepped_batch(u, v, n):
                 if a < 2:
                     continue
                 metrics = collapse_metrics(amps)
@@ -912,7 +911,7 @@ class TestEqualKeys:
             subs.append(group)
         params = [axis[np.concatenate(sub)] for axis, sub in zip(axes, zip(*subs))]
         u, v = coin_matrices(*params[:3]), shift_matrices(*params[3:])
-        for _, amps in walk_batch(u, v, 200):
+        for _, amps in stepped_batch(u, v, 200):
             metrics = collapse_metrics(amps)
             assert np.array_equal(metrics.term_count, metrics.term_count[:, owner])
             for column in (metrics.probability, metrics.entropy, metrics.normalized):
